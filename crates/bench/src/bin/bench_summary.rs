@@ -236,8 +236,8 @@ const BASELINE: &[(&str, Option<f64>)] = &[
 ];
 
 /// `after_ms` per workload from a committed `BENCH_simnet.json`,
-/// hand-parsed (serde_json is an offline stub in this container). The
-/// file is the fixed flat shape this binary writes, so scanning for
+/// hand-parsed: nothing in the build serializes, so there is no JSON
+/// library to lean on. The file is the fixed flat shape this binary writes, so scanning for
 /// the `"name"` / `"after_ms"` key pairs is sufficient.
 fn committed_after_ms(text: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -493,7 +493,7 @@ fn main() {
 
     // The relay hot path: throughput through an
     // unthrottled device proxy, both directions (see the `relay`
-    // module and the `proxy_throughput` criterion bench).
+    // module, which the repository benchmark also probes).
     if want("proxy_throughput_segment_relay") {
         let mut seg_times = Vec::with_capacity(REPS);
         for _ in 0..REPS {
@@ -609,8 +609,8 @@ fn main() {
         .map(|t| committed_after_ms(&t))
         .unwrap_or_default();
 
-    // serde_json is an offline stub in this container, so format the
-    // (flat, fixed-shape) JSON by hand.
+    // Nothing in the build serializes, so format the (flat,
+    // fixed-shape) JSON by hand.
     let mut out = String::from("{\n  \"benchmark\": \"simnet hot path (fig06-shaped)\",\n");
     out.push_str("  \"unit\": \"milliseconds, median of 7 runs\",\n");
     out.push_str("  \"workloads\": [\n");

@@ -27,7 +27,7 @@
 //! the live §6 allowance loop debiting daily 3GOLa(t) grants. The
 //! digest grows per-day/per-hour onload rows and overrun counters, and
 //! stays byte-identical across worker counts, chunk sizes, and runtime
-//! modes. `--seed S` reseeds the whole street.
+//! modes. `--seed S` reseeds the whole street; it needs `--scenario`.
 
 use threegol_bench::fleet::{
     peak_rss_bytes, run_cell_fleet, run_fleet, run_scenario_fleet, take_home_cost, CellFleetConfig,
@@ -51,7 +51,7 @@ fn main() {
     let mut positional = Vec::new();
     let mut cells: Option<u32> = None;
     let mut scenario_days: Option<u16> = None;
-    let mut seed = DEFAULT_SCENARIO_SEED;
+    let mut seed: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(raw) = args.next() {
         if raw == "--cells" {
@@ -82,16 +82,25 @@ fn main() {
                 eprintln!("--seed needs a value");
                 std::process::exit(2);
             });
-            seed = value.parse::<u64>().unwrap_or_else(|_| {
+            seed = Some(value.parse::<u64>().unwrap_or_else(|_| {
                 eprintln!("invalid seed {value:?}: expected a u64");
                 std::process::exit(2);
-            });
+            }));
         } else {
             positional.push(raw);
         }
     }
     if scenario_days.is_some() && cells.is_some() {
         eprintln!("--scenario and --cells are separate modes; pick one");
+        std::process::exit(2);
+    }
+    if seed.is_some() && scenario_days.is_none() {
+        eprintln!("--seed only reseeds a --scenario fleet; add --scenario week|DAYS");
+        std::process::exit(2);
+    }
+    let seed = seed.unwrap_or(DEFAULT_SCENARIO_SEED);
+    if positional.len() > 3 {
+        eprintln!("unexpected argument {:?}: at most [homes] [workers] [chunk]", positional[3]);
         std::process::exit(2);
     }
     let mut positional = positional.into_iter();

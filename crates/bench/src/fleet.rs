@@ -92,6 +92,14 @@ fn from_fp(fp: i128) -> f64 {
     fp as f64 / FP_SCALE
 }
 
+/// Element-wise `mine[i] += theirs[i]`: the exact, associative merge
+/// of every histogram and fixed-point array in the digests below.
+fn add_each<T: Copy + std::ops::AddAssign>(mine: &mut [T], theirs: &[T]) {
+    for (m, &t) in mine.iter_mut().zip(theirs) {
+        *m += t;
+    }
+}
+
 /// Mergeable summary of one per-home metric: count, exact fixed-point
 /// sum, min/max, and a 64-bucket quarter-log2 histogram covering
 /// `[2^-4, 2^12)` (0.0625 .. 4096, ~19% per bucket) from which
@@ -152,9 +160,7 @@ impl MetricDigest {
         self.sum_fp += other.sum_fp;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        for (mine, theirs) in self.hist.iter_mut().zip(other.hist.iter()) {
-            *mine += *theirs;
-        }
+        add_each(&mut self.hist, &other.hist);
     }
 
     /// Sum of all observations (fixed-point rounded).
@@ -178,7 +184,8 @@ impl MetricDigest {
         self.quantile(0.5)
     }
 
-    /// Quantile estimate from the histogram (see [`MetricDigest::p50`]).
+    /// Quantile estimate from the histogram (see [`MetricDigest::p50`]),
+    /// clamped to the observed `[min, max]`.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -188,7 +195,7 @@ impl MetricDigest {
         for (b, &n) in self.hist.iter().enumerate() {
             seen += n;
             if seen > rank {
-                return f64::exp2((b as f64 + 0.5) / 4.0 - 4.0);
+                return f64::exp2((b as f64 + 0.5) / 4.0 - 4.0).clamp(self.min, self.max);
             }
         }
         self.max
@@ -397,15 +404,9 @@ impl CellDigest {
     /// Fold another digest in: element-wise integer adds, exact and
     /// associative.
     pub fn merge(&mut self, other: &CellDigest) {
-        for (mine, theirs) in self.homes.iter_mut().zip(other.homes.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.dl_fp.iter_mut().zip(other.dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.ul_fp.iter_mut().zip(other.ul_fp.iter()) {
-            *mine += *theirs;
-        }
+        add_each(&mut self.homes, &other.homes);
+        add_each(&mut self.dl_fp, &other.dl_fp);
+        add_each(&mut self.ul_fp, &other.ul_fp);
     }
 
     /// Onloaded bytes for cell `cell` at hour `hour`, `(down, up)`.
@@ -503,25 +504,19 @@ impl ScenarioDigest {
         if report.days == 0 {
             return;
         }
-        self.homes += 1;
-        self.device_days += report.device_days as u64;
-        self.overrun_device_days += report.overrun_device_days as u64;
-        self.sessions += report.sessions as u64;
-        self.adsl_only_sessions += report.adsl_only_sessions as u64;
-        self.granted_fp += report.granted_allowance_fp;
-        self.used_fp += report.used_allowance_fp;
-        for (mine, theirs) in self.day_dl_fp.iter_mut().zip(report.day_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.day_ul_fp.iter_mut().zip(report.day_ul_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_dl_fp.iter_mut().zip(report.hour_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_ul_fp.iter_mut().zip(report.hour_ul_fp.iter()) {
-            *mine += *theirs;
-        }
+        self.merge(&ScenarioDigest {
+            homes: 1,
+            device_days: report.device_days as u64,
+            overrun_device_days: report.overrun_device_days as u64,
+            sessions: report.sessions as u64,
+            adsl_only_sessions: report.adsl_only_sessions as u64,
+            granted_fp: report.granted_allowance_fp,
+            used_fp: report.used_allowance_fp,
+            day_dl_fp: report.day_dl_fp,
+            day_ul_fp: report.day_ul_fp,
+            hour_dl_fp: report.hour_dl_fp,
+            hour_ul_fp: report.hour_ul_fp,
+        });
     }
 
     /// Fold another digest in: element-wise integer adds, exact and
@@ -534,18 +529,10 @@ impl ScenarioDigest {
         self.adsl_only_sessions += other.adsl_only_sessions;
         self.granted_fp += other.granted_fp;
         self.used_fp += other.used_fp;
-        for (mine, theirs) in self.day_dl_fp.iter_mut().zip(other.day_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.day_ul_fp.iter_mut().zip(other.day_ul_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_dl_fp.iter_mut().zip(other.hour_dl_fp.iter()) {
-            *mine += *theirs;
-        }
-        for (mine, theirs) in self.hour_ul_fp.iter_mut().zip(other.hour_ul_fp.iter()) {
-            *mine += *theirs;
-        }
+        add_each(&mut self.day_dl_fp, &other.day_dl_fp);
+        add_each(&mut self.day_ul_fp, &other.day_ul_fp);
+        add_each(&mut self.hour_dl_fp, &other.hour_dl_fp);
+        add_each(&mut self.hour_ul_fp, &other.hour_ul_fp);
     }
 
     /// Onloaded bytes on scenario day `day`, `(down, up)`.
@@ -1441,6 +1428,11 @@ mod tests {
         assert!((d.mean() - 2.0).abs() < 1e-5);
         // Histogram p50: within one quarter-log2 bucket of the truth.
         assert!((d.p50() / 2.0).log2().abs() < 0.26, "p50 {}", d.p50());
+        // A bucket midpoint never escapes the observed range: a lone
+        // 1.0 sits in the bucket whose midpoint is 2^0.125.
+        let mut one = MetricDigest::empty();
+        one.observe(1.0);
+        assert_eq!((one.p50(), one.quantile(0.0), one.quantile(1.0)), (1.0, 1.0, 1.0));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Proxy relay-path throughput workloads: one unthrottled virtual-net
 //! household slice (origin + device proxy) driven as hard as the HTTP
 //! hot path allows, shared between the tracked `bench_summary` numbers
-//! and the `proxy_throughput` criterion bench.
+//! and the repository benchmark's relay probes (`perfbench/`).
 //!
 //! The segment workload pulls large GET bodies through the device
 //! relay (origin → device → client); the upload workload pushes
 //! multipart photo POSTs the other way. Both run entirely on the
 //! in-process virtual network under virtual time, so the measured
 //! wall-clock is pure codec + relay + duplex-pipe cost — the numbers
-//! this PR's zero-copy streaming path targets.
+//! the zero-copy streaming path targets.
 
 use std::sync::Arc;
 

@@ -207,3 +207,21 @@ fn indices_beyond_the_namespace_width_run_fine() {
     assert_eq!(report.index, 999_999);
     assert!(report.upload_gain > 1.0);
 }
+
+#[test]
+fn fleet_bin_rejects_arguments_it_would_ignore() {
+    let fleet = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_fleet")).args(args).output().unwrap()
+    };
+    // A seed only feeds scenarios, and there are three positionals.
+    for args in [&["2", "--seed", "7"][..], &["2", "1", "64", "9"]] {
+        let out = fleet(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(!out.stderr.is_empty(), "{args:?}: no message");
+        assert!(out.stdout.is_empty(), "{args:?}: ran a fleet anyway");
+    }
+    // The same seed is accepted where it means something.
+    let out = fleet(&["2", "1", "--scenario", "1", "--seed", "7"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("report digest"));
+}

@@ -28,7 +28,7 @@ pub trait FreeCapacityEstimator {
 }
 
 /// The paper's allowance estimator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllowanceEstimator {
     /// History window in months (paper: 5).
     pub tau: usize,
@@ -89,7 +89,7 @@ impl FreeCapacityEstimator for AllowanceEstimator {
 /// A conservative quantile rule: the allowance is the `q`-quantile of
 /// the last `tau` months of free capacity (e.g. q = 0.1 ⇒ "a volume
 /// that was free in 90 % of recent months").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantileEstimator {
     /// History window in months.
     pub tau: usize,
@@ -127,7 +127,7 @@ impl FreeCapacityEstimator for QuantileEstimator {
 }
 
 /// Outcome of evaluating an estimator over a user population.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorEvaluation {
     /// Months evaluated (user-months with a full history window).
     pub months: usize,

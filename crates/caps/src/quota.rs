@@ -8,7 +8,7 @@
 //! > become part of the admissible set Φ."
 
 /// One month of a subscriber's billing data.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonthlyUsage {
     /// Contracted cap, bytes.
     pub cap_bytes: f64,

@@ -12,7 +12,7 @@
 use threegol_radio::consts;
 
 /// Inputs to the back-of-the-envelope comparison.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     /// Cell coverage radius, meters.
     pub cell_radius_m: f64,

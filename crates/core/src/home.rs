@@ -13,7 +13,7 @@ use threegol_simnet::{LinkId, SimTime, Simulation};
 
 /// The home Wi-Fi standard, bounding LAN goodput (paper §4.1: ~24
 /// Mbit/s for 802.11g, ~110 Mbit/s for 802.11n TCP goodput).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WifiStandard {
     /// 802.11g (24 Mbit/s TCP goodput).
     G,

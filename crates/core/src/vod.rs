@@ -18,7 +18,7 @@ use crate::home::{request_overhead_secs, HomeNetwork, WifiStandard, ADSL_EFFICIE
 use crate::runner::{PathSpec, TransactionRunner};
 
 /// Radio state at transaction start (the paper's `3G` vs `H` variants).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RadioStart {
     /// Phones start from RRC idle and pay the channel-acquisition delay.
     Cold,

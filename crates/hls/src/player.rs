@@ -14,7 +14,7 @@
 //! [`PlayerModel`] computes both, plus a playout stall analysis.
 
 /// A VoD player with a pre-buffer threshold.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlayerModel {
     /// Fraction of the video that must be buffered before playback
     /// starts, in `(0, 1]`. The paper sweeps 0.2, 0.4, 0.6, 0.8, 1.0.

@@ -1,7 +1,7 @@
 //! Video quality ladder.
 
 /// A video quality rendition.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoQuality {
     /// Display label, e.g. `"Q3"`.
     pub label: String,

@@ -3,7 +3,7 @@
 use crate::quality::VideoQuality;
 
 /// Specification of a VoD asset.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VideoSpec {
     /// Total duration, seconds. The paper uses 200 s ("the median video
     /// length of a YouTube video").
@@ -29,7 +29,7 @@ impl VideoSpec {
 }
 
 /// One HLS media segment.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Zero-based index in playout order.
     pub index: usize,

@@ -28,7 +28,7 @@ use threegol_simnet::{SimEvent, SimTime, Simulation};
 pub const PROBE_BYTES: f64 = 2e6;
 
 /// Transfer direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// HSDPA downlink probes (the paper's wget measurements).
     Down,
@@ -182,7 +182,7 @@ impl Campaign {
 }
 
 /// One step of the §3 staggered activation ramp.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct RampStep {
     /// Number of active devices at this step.
     pub n_devices: usize,
@@ -261,7 +261,7 @@ impl Campaign {
 
 /// One row of Table 2: DSL speed, 3-device 3G throughput, and the
 /// 3GOL/DSL speedup, all in bits/s, at the location's measured hour.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Location name.
     pub name: String,

@@ -8,10 +8,9 @@
 //! the device only advertises while `A(t) > 0`.
 
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use tokio::net::{TcpListener, TcpStream};
 
 use threegol_caps::QuotaTracker;
@@ -54,30 +53,30 @@ impl DeviceProxy {
 
     /// Retune the 3G bearer (applies to connections opened afterwards).
     pub fn set_rates(&self, g3_down: RateLimit, g3_up: RateLimit) {
-        *self.rates.lock() = (g3_down, g3_up);
+        *self.rates.lock().unwrap() = (g3_down, g3_up);
     }
 
     /// Remaining quota, bytes.
     pub fn available_bytes(&self) -> f64 {
-        self.quota.lock().available_bytes()
+        self.quota.lock().unwrap().available_bytes()
     }
 
     /// Bytes consumed against the current allowance (may exceed it:
     /// an in-flight transfer completes even when it overruns).
     pub fn used_bytes(&self) -> f64 {
-        self.quota.lock().used_bytes()
+        self.quota.lock().unwrap().used_bytes()
     }
 
     /// Whether the device should currently advertise itself.
     pub fn should_advertise(&self) -> bool {
-        self.quota.lock().should_advertise()
+        self.quota.lock().unwrap().should_advertise()
     }
 
     /// Day boundary: grant a fresh daily allowance and forget the old
     /// day's usage. An exhausted device becomes advertisable again —
     /// the §6 loop's "stops announcing until the next day".
     pub fn roll_over(&self, allowance_bytes: f64) {
-        self.quota.lock().roll_over(allowance_bytes);
+        self.quota.lock().unwrap().roll_over(allowance_bytes);
     }
 
     /// Listen on `lan_addr` (port 0 for ephemeral) and serve LAN
@@ -116,7 +115,7 @@ impl DeviceProxy {
         lan.set_nodelay(true).ok();
         let upstream_tcp = TcpStream::connect(self.upstream).await?;
         upstream_tcp.set_nodelay(true).ok();
-        let (g3_down, g3_up) = *self.rates.lock();
+        let (g3_down, g3_up) = *self.rates.lock().unwrap();
         let mut upstream = HttpStream::new(ThrottledStream::new(upstream_tcp, g3_down, g3_up));
         let mut lan = HttpStream::new(lan);
         while let Some((head, body)) = lan.read_request_head().await? {
@@ -158,7 +157,7 @@ impl DeviceProxy {
                 }
             };
             lan.flush().await?;
-            self.quota.lock().consume((up_bytes + down_bytes) as f64);
+            self.quota.lock().unwrap().consume((up_bytes + down_bytes) as f64);
         }
         Ok(())
     }

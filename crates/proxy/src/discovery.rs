@@ -10,15 +10,14 @@
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tokio::time::Instant;
 
-use parking_lot::Mutex;
 use tokio::net::UdpSocket;
 
 /// One device advertisement.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Advertisement {
     /// Device name, e.g. `"phone-1"`.
     pub name: String,
@@ -30,11 +29,10 @@ pub struct Advertisement {
 
 impl Advertisement {
     /// Encode for the wire. Like the repository's JSON artifacts, the
-    /// datagram format is explicit formatting code rather than a
-    /// serializer (the vendored `serde_json` is an offline stub): a
-    /// version tag, the proxy address, the quota, then the free-form
-    /// device name — name last so it may contain any byte, including
-    /// the `\n` field separator.
+    /// datagram format is explicit formatting code, since nothing in
+    /// the build serializes: a version tag, the proxy address, the
+    /// quota, then the free-form device name — name last so it may
+    /// contain any byte, including the `\n` field separator.
     fn encode(&self) -> Vec<u8> {
         format!("3gol-ad/1\n{}\n{}\n{}", self.proxy_addr, self.available_bytes, self.name)
             .into_bytes()
@@ -78,7 +76,7 @@ impl Discovery {
             loop {
                 let Ok((n, _peer)) = rx_socket.recv_from(&mut buf).await else { break };
                 if let Some(ad) = Advertisement::parse(&buf[..n]) {
-                    rx_seen.lock().insert(ad.name.clone(), (ad, Instant::now()));
+                    rx_seen.lock().unwrap().insert(ad.name.clone(), (ad, Instant::now()));
                 }
             }
         });
@@ -94,7 +92,7 @@ impl Discovery {
     /// device name for deterministic path numbering.
     pub fn admissible(&self) -> Vec<Advertisement> {
         let now = Instant::now();
-        let mut seen = self.seen.lock();
+        let mut seen = self.seen.lock().unwrap();
         seen.retain(|_, (_, at)| now.duration_since(*at) < TTL);
         let mut ads: Vec<Advertisement> = seen.values().map(|(ad, _)| ad.clone()).collect();
         ads.sort_by(|a, b| a.name.cmp(&b.name));
@@ -176,7 +174,7 @@ mod tests {
     async fn stale_entries_expire() {
         let disc = Discovery::bind("127.0.0.1:0").await.unwrap();
         // Insert directly (paused time makes real UDP awkward).
-        disc.seen.lock().insert("phone-1".into(), (ad("phone-1", 1e6), Instant::now()));
+        disc.seen.lock().unwrap().insert("phone-1".into(), (ad("phone-1", 1e6), Instant::now()));
         assert_eq!(disc.admissible().len(), 1);
         tokio::time::advance(Duration::from_secs(4)).await;
         assert!(disc.admissible().is_empty());

@@ -16,10 +16,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::{mpsc, Notify};
 
@@ -139,7 +138,7 @@ impl HlsProxy {
     /// playlist next, which triggers the prefetch.
     async fn handle_playlist(&self, target: &str) -> Result<Response, HttpError> {
         let (bodies, report) = self.client.fetch(vec![Arc::from(target)], None).await?;
-        self.stats.lock().note(&report);
+        self.stats.lock().unwrap().note(&report);
         let body = bodies.into_iter().next().expect("one body");
         if let Ok(text) = std::str::from_utf8(&body) {
             if let Ok(playlist) = MediaPlaylist::parse(text) {
@@ -159,7 +158,7 @@ impl HlsProxy {
     fn start_prefetch(&self, playlist_target: &str, playlist: &MediaPlaylist) {
         let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
         let fresh: Vec<Arc<str>> = {
-            let mut cache = self.cache.lock();
+            let mut cache = self.cache.lock().unwrap();
             let mut fresh = Vec::new();
             for (_, uri) in &playlist.entries {
                 let t: Arc<str> = if uri.starts_with('/') {
@@ -190,10 +189,10 @@ impl HlsProxy {
         // its own Vec of refcount bumps, not string copies.
         let targets: Arc<[Arc<str>]> = fresh.into();
         let fetch_targets: Vec<Arc<str>> = targets.to_vec();
-        stats.lock().in_flight += 1;
+        stats.lock().unwrap().in_flight += 1;
         tokio::spawn(async move {
             let report = client.fetch_streaming(fetch_targets, tx).await;
-            let mut s = stats.lock();
+            let mut s = stats.lock().unwrap();
             if let Ok(report) = report {
                 s.note(&report);
             }
@@ -206,7 +205,7 @@ impl HlsProxy {
         });
         tokio::spawn(async move {
             while let Some((idx, body)) = rx.recv().await {
-                let mut c = cache.lock();
+                let mut c = cache.lock().unwrap();
                 let t = &targets[idx];
                 c.pending.remove(&**t);
                 c.ready.insert(Arc::clone(t), body);
@@ -215,7 +214,7 @@ impl HlsProxy {
             }
             // Fetch task ended: clear any leftovers so segment requests
             // fall back to direct fetches instead of waiting forever.
-            let mut c = cache.lock();
+            let mut c = cache.lock().unwrap();
             for t in targets.iter() {
                 c.pending.remove(&**t);
             }
@@ -234,7 +233,7 @@ impl HlsProxy {
         loop {
             let notified = self.arrived.notified();
             let in_flight = {
-                let mut cache = self.cache.lock();
+                let mut cache = self.cache.lock().unwrap();
                 // `remove_entry` recovers the interned key so the
                 // served set reuses it instead of re-allocating.
                 if let Some((key, body)) = cache.ready.remove_entry(target) {
@@ -247,9 +246,9 @@ impl HlsProxy {
                 // Not part of any intercepted playlist: fetch directly.
                 let interned: Arc<str> = Arc::from(target);
                 let (bodies, report) = self.client.fetch(vec![Arc::clone(&interned)], None).await?;
-                self.stats.lock().note(&report);
+                self.stats.lock().unwrap().note(&report);
                 let body = bodies.into_iter().next().expect("one body");
-                self.cache.lock().served.insert(interned);
+                self.cache.lock().unwrap().served.insert(interned);
                 return Ok(Response::ok("video/mp2t", body));
             }
             notified.await;
@@ -262,7 +261,7 @@ impl HlsProxy {
     pub async fn wait_idle(&self) {
         loop {
             let notified = self.idle.notified();
-            if self.stats.lock().in_flight == 0 {
+            if self.stats.lock().unwrap().in_flight == 0 {
                 return;
             }
             notified.await;
@@ -272,23 +271,23 @@ impl HlsProxy {
     /// Bytes this proxy's transfers moved per path index (0 = the
     /// gateway, 1.. = device paths), aborted partials included.
     pub fn path_bytes(&self) -> Vec<f64> {
-        self.stats.lock().bytes.clone()
+        self.stats.lock().unwrap().bytes.clone()
     }
 
     /// Bytes this proxy's transfers moved over device (3G) paths —
     /// the downlink burden the phones' cells carried.
     pub fn device_bytes(&self) -> f64 {
-        self.stats.lock().bytes.iter().skip(1).sum()
+        self.stats.lock().unwrap().bytes.iter().skip(1).sum()
     }
 
     /// Number of cached (fetched, not yet served) segments.
     pub fn cached_segments(&self) -> usize {
-        self.cache.lock().ready.len()
+        self.cache.lock().unwrap().ready.len()
     }
 
     /// Number of segments already served (and evicted).
     pub fn served_segments(&self) -> usize {
-        self.cache.lock().served.len()
+        self.cache.lock().unwrap().served.len()
     }
 }
 

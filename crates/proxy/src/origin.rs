@@ -9,10 +9,9 @@
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use tokio::net::{TcpListener, TcpStream};
 
 use threegol_hls::{segment_video, MasterPlaylist, MediaPlaylist, VideoQuality, VideoSpec};
@@ -57,14 +56,14 @@ fn cached_assets(
         let _ = write!(key, "|{}={}", q.label, q.bitrate_bps.to_bits());
     }
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(assets) = cache.lock().get(&key) {
+    if let Some(assets) = cache.lock().unwrap().get(&key) {
         return Arc::clone(assets);
     }
     // Built outside the lock: a miss costs ~2.6 MB of memset and the
     // playlist rendering, and a racing duplicate build is benign (one
     // winner is kept).
     let built = Arc::new(build_assets(ladder, duration_secs, segment_secs));
-    Arc::clone(cache.lock().entry(key).or_insert(built))
+    Arc::clone(cache.lock().unwrap().entry(key).or_insert(built))
 }
 
 /// Render the asset tree: playlists, deterministic filler segments and
@@ -198,7 +197,7 @@ impl OriginServer {
                             filenames: parts.iter().filter_map(|p| p.filename.clone()).collect(),
                             total_bytes: parts.iter().map(|p| p.data.len()).sum(),
                         };
-                        self.uploads.lock().push(upload);
+                        self.uploads.lock().unwrap().push(upload);
                         Response::ok("text/plain", Bytes::from_static(b"stored"))
                     }
                     Err(_) => Response::status(400, "Bad Request"),
@@ -210,7 +209,7 @@ impl OriginServer {
 
     /// Uploads received so far.
     pub fn uploads(&self) -> Vec<ReceivedUpload> {
-        self.uploads.lock().clone()
+        self.uploads.lock().unwrap().clone()
     }
 
     /// Requests served so far.

@@ -16,11 +16,10 @@ use std::future::Future;
 use std::io::IoSlice;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
 use tokio::time::{sleep_until, Instant, Sleep};
 
@@ -73,15 +72,15 @@ impl SharedRateLimit {
     }
 
     fn available(&self) -> usize {
-        self.bucket.lock().available()
+        self.bucket.lock().unwrap().available()
     }
 
     fn consume(&self, bytes: usize) {
-        self.bucket.lock().consume(bytes);
+        self.bucket.lock().unwrap().consume(bytes);
     }
 
     fn ready_at(&self, bytes: usize) -> Instant {
-        self.bucket.lock().ready_at(bytes)
+        self.bucket.lock().unwrap().ready_at(bytes)
     }
 
     /// Fire-time re-check for a dry-bucket wait (see
@@ -90,7 +89,7 @@ impl SharedRateLimit {
     /// Runs the same `available()`-then-`ready_at()` arithmetic the
     /// woken stream would run at this same virtual instant.
     fn gate_check(&self, need: usize) -> Option<Instant> {
-        let mut bucket = self.bucket.lock();
+        let mut bucket = self.bucket.lock().unwrap();
         if bucket.available() >= need {
             None
         } else {
@@ -103,7 +102,7 @@ impl SharedRateLimit {
     /// bucket can hold, or it would sleep forever; shallow buckets
     /// simply schedule at their full depth.
     fn scheduling_quantum(&self) -> usize {
-        let bucket = self.bucket.lock();
+        let bucket = self.bucket.lock().unwrap();
         (bucket.limit.burst_bytes.min(QUANTUM as f64) as usize).max(1)
     }
 }

@@ -4,7 +4,7 @@ use crate::consts;
 use crate::rrc::{RrcConfig, RrcMachine};
 
 /// HSPA device category, determining hard rate ceilings.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceCategory {
     /// Samsung Galaxy S II as used in the paper's §3 measurements:
     /// "MIMO HSDPA Category 20 and HSUPA Category 6".

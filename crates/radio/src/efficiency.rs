@@ -16,7 +16,7 @@
 //! the aggregate is *not* `n ×` the single-device rate.
 
 /// Piecewise per-device throughput anchors `(cluster_size, bps)`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EfficiencyCurve {
     anchors: Vec<(f64, f64)>,
     /// Relative standard deviation of short-term variation around the

@@ -12,7 +12,7 @@ use crate::consts::signal_to_rate_factor;
 use crate::efficiency::EfficiencyCurve;
 
 /// Kind of area a location sits in (drives which diurnal load applies).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AreaKind {
     /// Densely populated residential area (city centre).
     DenseResidential,
@@ -25,7 +25,7 @@ pub enum AreaKind {
 }
 
 /// How heavily loaded the local cells are at their busiest hour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provisioning {
     /// Plenty of spare capacity even at peak (paper: "even at peak hour
     /// … the cellular network seems to be well provisioned").
@@ -63,7 +63,7 @@ pub fn availability_profile(provisioning: Provisioning) -> DiurnalProfile {
 }
 
 /// Everything location-specific about a 3GOL site.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocationProfile {
     /// Display name, e.g. `"T2-loc1"`.
     pub name: String,

@@ -17,7 +17,7 @@ use crate::efficiency::EfficiencyCurve;
 use crate::rrc::RrcConfig;
 
 /// Cellular radio generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioGeneration {
     /// UMTS/HSPA, as measured by the paper.
     Hspa,

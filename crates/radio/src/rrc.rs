@@ -25,7 +25,7 @@ pub enum RrcState {
 /// Defaults follow the commonly measured values for European UMTS
 /// deployments of the paper's era (e.g., Qian et al., "Characterizing
 /// radio resource allocation for 3G networks").
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RrcConfig {
     /// IDLE → DCH promotion delay (RRC connection setup), seconds.
     pub idle_to_dch_secs: f64,

@@ -2,7 +2,7 @@
 
 /// Specification of a multipath transaction: `M` item sizes over `N`
 /// paths.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransactionSpec {
     /// Item sizes in bytes, in download/playout order.
     pub item_sizes: Vec<f64>,
@@ -42,7 +42,7 @@ impl TransactionSpec {
 }
 
 /// A scheduling policy selector.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// The paper's greedy scheduler (GRD).
     Greedy,

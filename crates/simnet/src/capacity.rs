@@ -14,7 +14,7 @@ use crate::time::SimTime;
 /// Stores one weight per hour; evaluation linearly interpolates between
 /// hour marks and wraps around midnight. Used both for cellular load
 /// (paper Fig 1 mobile curve) and for wired traffic (Fig 1 wired curve).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     weights: [f64; 24],
 }

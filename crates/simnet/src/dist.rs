@@ -152,7 +152,7 @@ pub fn lognormal_params(mean: f64, sd: f64) -> (f64, f64) {
 /// Used by trace generators and capacity processes so experiment
 /// parameters can live in plain data (and be serialized alongside
 /// results).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Distribution {
     /// Always the same value.
     Constant(f64),

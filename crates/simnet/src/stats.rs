@@ -3,7 +3,7 @@
 //! paper's tables and figures report.
 
 /// Basic summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

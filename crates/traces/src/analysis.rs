@@ -9,7 +9,7 @@ use crate::diurnal::{mobile_diurnal_load, wired_diurnal_load};
 use crate::dslam::DslamTrace;
 
 /// Transfer-model parameters for the budgeted analyses.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BudgetModel {
     /// Subscriber ADSL downlink, bits/s (paper: 3 Mbit/s).
     pub adsl_bps: f64,
@@ -124,7 +124,7 @@ pub fn cell_load(trace: &DslamTrace, model: &BudgetModel, backhaul_bps: f64) -> 
 }
 
 /// One point of the Fig 11c adoption analysis.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdoptionPoint {
     /// Fraction of 3G subscribers adopting 3GOL.
     pub adoption: f64,

@@ -18,7 +18,7 @@ use threegol_simnet::SimRng;
 use crate::diurnal::wired_diurnal_load;
 
 /// Configuration of the DSLAM trace generator.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DslamTraceConfig {
     /// Number of DSL subscribers behind the DSLAM (paper: 18 000).
     pub n_users: usize,
@@ -55,7 +55,7 @@ impl Default for DslamTraceConfig {
 }
 
 /// One video request in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VideoRequest {
     /// Subscriber id.
     pub user_id: u32,

@@ -13,7 +13,7 @@ use threegol_simnet::stats::Ecdf;
 use threegol_simnet::SimRng;
 
 /// Configuration of the MNO trace generator.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MnoConfig {
     /// Number of subscribers.
     pub n_users: usize,
@@ -47,7 +47,7 @@ impl Default for MnoConfig {
 }
 
 /// One subscriber's billing history.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UserBilling {
     /// Subscriber id.
     pub user_id: u64,
