@@ -9,7 +9,7 @@
 //! `scale` must lie in (0, 1] (default 1). `workers` overrides the
 //! `THREEGOL_WORKERS` environment variable and the detected core
 //! count. Every experiment decomposes into independent replication
-//! units that all interleave in one shared work-stealing pool, and
+//! units that all interleave in one shared job pool, and
 //! each experiment's merge step reassembles its partials in unit
 //! order — so the output is byte-identical for any worker count.
 

@@ -1,17 +1,17 @@
-//! The replication-sharding execution layer: a work-stealing pool of
-//! scoped threads that runs an experiment's independent replication
-//! units across cores.
+//! The replication-sharding execution layer: a pool of scoped worker
+//! threads that runs an experiment's independent replication units
+//! across cores.
 //!
 //! Design:
 //!
-//! * jobs enter through a shared [`crossbeam::deque::Injector`];
-//! * each worker owns a local deque and follows the classic
-//!   crossbeam discipline — pop local work first, then grab a batch
-//!   from the injector, then steal from a sibling;
+//! * one FIFO job queue (`Mutex<VecDeque>` plus a `Condvar`) shared by
+//!   every worker and every submitting driver: a submit pushes and
+//!   wakes one idle worker, a worker pops the oldest job or sleeps
+//!   until one arrives;
 //! * [`map`] fans a `Vec` of units out as one job per unit and
 //!   reassembles the results **in unit order**, so the merged output
-//!   is byte-identical no matter how many workers ran or how the
-//!   steals interleaved;
+//!   is byte-identical no matter how many workers ran or in which
+//!   order they finished;
 //! * workers are scoped threads: [`Pool::with`] joins them before it
 //!   returns, so a pool can never outlive the driver that created it.
 //!
@@ -19,30 +19,26 @@
 //! detection) lives in [`resolve_workers`]; the `THREEGOL_WORKERS`
 //! environment variable overrides the detected core count everywhere.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-
-use crossbeam::deque::{Injector, Stealer, Worker};
 
 /// A unit of work scheduled on the pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A work-stealing pool of scoped worker threads.
+/// A pool of scoped worker threads draining one FIFO job queue.
 ///
 /// Created with [`Pool::with`]; shared by reference (`&Pool`) with any
 /// number of submitting threads. Dropping out of `with` shuts the
 /// workers down and joins them.
 pub struct Pool {
-    injector: Injector<Job>,
+    /// Pending jobs, oldest first, and the shutdown flag.
+    queue: Mutex<(VecDeque<Job>, bool)>,
+    /// Signalled on every submit and on shutdown.
+    ready: Condvar,
     workers: usize,
-    shutdown: AtomicBool,
-    /// Parking lot for idle workers: submitters notify on push.
-    idle: Mutex<()>,
-    wakeup: Condvar,
 }
 
 impl Pool {
@@ -54,30 +50,19 @@ impl Pool {
     /// 1-worker pool is exactly the serial path.
     pub fn with<R>(workers: usize, f: impl FnOnce(&Pool) -> R) -> R {
         let workers = workers.max(1);
-        let pool = Pool {
-            injector: Injector::new(),
-            workers,
-            shutdown: AtomicBool::new(false),
-            idle: Mutex::new(()),
-            wakeup: Condvar::new(),
-        };
-        let locals: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<Job>> = locals.iter().map(|w| w.stealer()).collect();
+        let pool =
+            Pool { queue: Mutex::new((VecDeque::new(), false)), ready: Condvar::new(), workers };
         std::thread::scope(|scope| {
-            let pool_ref = &pool;
-            let stealers = &stealers;
-            for (index, local) in locals.into_iter().enumerate() {
-                scope.spawn(move || pool_ref.worker_loop(index, local, stealers));
+            let pool = &pool;
+            for _ in 0..workers {
+                scope.spawn(move || pool.worker_loop());
             }
             // Catch a panicking driver (e.g. a unit panic re-raised by
             // [`map`]) so the shutdown flag is always set: otherwise
             // the workers never exit and the scope join hangs forever.
-            let result = catch_unwind(AssertUnwindSafe(|| f(pool_ref)));
-            pool_ref.shutdown.store(true, Ordering::SeqCst);
-            {
-                let _guard = pool_ref.idle.lock().expect("pool idle lock");
-                pool_ref.wakeup.notify_all();
-            }
+            let result = catch_unwind(AssertUnwindSafe(|| f(pool)));
+            pool.queue.lock().expect("pool queue lock").1 = true;
+            pool.ready.notify_all();
             match result {
                 Ok(value) => value,
                 Err(payload) => resume_unwind(payload),
@@ -90,56 +75,36 @@ impl Pool {
         self.workers
     }
 
-    /// Submit one job for execution on any worker.
-    pub fn submit(&self, job: Job) {
-        self.injector.push(job);
-        // Taking the idle lock orders this notify against any worker's
-        // empty-check-then-wait, so a push can't slip between the two
-        // and leave the worker parked with work available.
-        let _guard = self.idle.lock().expect("pool idle lock");
-        self.wakeup.notify_all();
+    /// Queue one job for the next free worker.
+    fn submit(&self, job: Job) {
+        self.queue.lock().expect("pool queue lock").0.push_back(job);
+        self.ready.notify_one();
     }
 
-    fn worker_loop(&self, index: usize, local: Worker<Job>, stealers: &[Stealer<Job>]) {
+    /// Run queued jobs oldest first; exit once shutdown is flagged and
+    /// the queue is empty.
+    fn worker_loop(&self) {
+        let mut queue = self.queue.lock().expect("pool queue lock");
         loop {
-            let job = local
-                .pop()
-                .or_else(|| self.injector.steal_batch_and_pop(&local).success())
-                .or_else(|| {
-                    stealers
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != index)
-                        .find_map(|(_, s)| s.steal().success())
-                });
-            match job {
-                Some(job) => job(),
-                None => {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Park until a submitter notifies. The timeout is a
-                    // backstop for work that sits in a sibling's local
-                    // deque (sibling pushes don't notify).
-                    let guard = self.idle.lock().expect("pool idle lock");
-                    if self.injector.is_empty() && !self.shutdown.load(Ordering::SeqCst) {
-                        let _ = self
-                            .wakeup
-                            .wait_timeout(guard, Duration::from_millis(1))
-                            .expect("pool idle lock");
-                    }
-                }
+            if let Some(job) = queue.0.pop_front() {
+                drop(queue);
+                job();
+                queue = self.queue.lock().expect("pool queue lock");
+            } else if queue.1 {
+                return;
+            } else {
+                queue = self.ready.wait(queue).expect("pool queue lock");
             }
         }
     }
 }
 
 /// Run `f` over every unit on the pool and return the results in unit
-/// order (deterministic merge regardless of worker count or stealing
-/// interleavings).
+/// order (deterministic merge regardless of worker count or completion
+/// order).
 ///
-/// A unit that panics re-raises the panic on the calling thread once
-/// all other in-flight sends have resolved, mirroring serial behavior.
+/// A unit that panics re-raises the panic on the calling thread and
+/// cancels the units still queued, mirroring serial behavior.
 /// With a single worker, or a single unit, everything runs inline on
 /// the caller — the exact serial code path.
 pub fn map<U, P, F>(pool: &Pool, units: Vec<U>, f: F) -> Vec<P>
@@ -160,20 +125,24 @@ where
 ///
 /// This is the streaming counterpart of [`map`]: instead of holding
 /// every partial result until the end, the caller's accumulator
-/// absorbs each one the moment all earlier units have been absorbed —
-/// partials that finish out of order wait in a buffer bounded by the
-/// pool's reordering depth (at most the in-flight unit count), so the
-/// driver's memory stays proportional to the worker count, never to
-/// the unit count.
+/// absorbs each one the moment all earlier units have been absorbed.
+/// The queue is FIFO, so a fold's units start in unit order and a
+/// partial waits in the reorder buffer only while an earlier unit is
+/// still running. The buffer holds what the other workers finish
+/// during that one unit's run: at most `workers − 1` partials when
+/// units cost about the same, more only when one unit runs several
+/// times longer than those after it — bounded by the cost spread
+/// between units, never by the unit count.
 ///
 /// The merge order is the unit order regardless of how many workers
-/// ran or how the steals interleaved, so an order-sensitive
+/// ran or in which order they finished, so an order-sensitive
 /// accumulator (a running digest, a float fold) produces byte-identical
 /// results for any worker count. With a single worker, or a single
 /// unit, everything runs inline on the caller — the exact serial path.
 ///
 /// A unit that panics re-raises the panic on the calling thread,
-/// mirroring serial behavior.
+/// mirroring serial behavior; the fold's units still queued at that
+/// moment are skipped instead of run.
 pub fn fold<U, P, A, F, M>(pool: &Pool, units: Vec<U>, f: F, init: A, mut merge: M) -> A
 where
     U: Send + Sync + 'static,
@@ -187,12 +156,17 @@ where
     }
     let units = Arc::new(units);
     let f = Arc::new(f);
+    let cancelled = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::channel();
     for index in 0..n {
         let units = Arc::clone(&units);
         let f = Arc::clone(&f);
+        let cancelled = Arc::clone(&cancelled);
         let tx = tx.clone();
         pool.submit(Box::new(move || {
+            if cancelled.load(Ordering::Relaxed) {
+                return;
+            }
             let result = catch_unwind(AssertUnwindSafe(|| f(&units[index])));
             // A disconnected receiver means the driver already gave up
             // (another unit panicked); dropping the result is fine.
@@ -213,7 +187,10 @@ where
                     next += 1;
                 }
             }
-            Err(payload) => resume_unwind(payload),
+            Err(payload) => {
+                cancelled.store(true, Ordering::Relaxed);
+                resume_unwind(payload)
+            }
         }
     }
     debug_assert!(pending.is_empty() && next == n, "every unit merged exactly once");
@@ -233,6 +210,9 @@ pub fn resolve_workers(cli: Option<usize>) -> usize {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -317,6 +297,32 @@ mod tests {
             })
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn fold_panic_cancels_the_units_still_queued() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&ran);
+        let result = std::panic::catch_unwind(|| {
+            Pool::with(2, |pool| {
+                fold(
+                    pool,
+                    (0..64u64).collect::<Vec<u64>>(),
+                    move |&u| {
+                        counter.fetch_add(1, Ordering::SeqCst);
+                        assert!(u != 0, "unit 0 exploded");
+                        std::thread::sleep(Duration::from_millis(20));
+                        u
+                    },
+                    0u64,
+                    |acc, p| acc + p,
+                )
+            })
+        });
+        assert!(result.is_err());
+        // `Pool::with` has joined every worker, so the count is final.
+        let ran = ran.load(Ordering::SeqCst);
+        assert!(ran < 64, "all {ran} units ran after unit 0 panicked");
     }
 
     #[test]

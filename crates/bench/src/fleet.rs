@@ -1,7 +1,7 @@
 //! The deterministic proxy-fleet harness at fleet scale: N whole
 //! households from the live prototype (`threegol-proxy`), each an
 //! isolated tokio runtime on its own virtual-network namespace,
-//! **streamed** through the work-stealing [`Pool`] in chunks and
+//! **streamed** through the shared job [`Pool`] in chunks and
 //! aggregated into a mergeable [`FleetDigest`].
 //!
 //! Nothing is ever materialized per home: a [`HomeSpec`] is a pure
@@ -25,7 +25,6 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
 
 use threegol_proxy::{
     CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
@@ -736,16 +735,9 @@ pub enum RuntimeMode {
 }
 
 impl RuntimeMode {
-    /// The process-wide default: [`RuntimeMode::Reuse`], unless the
-    /// `THREEGOL_FRESH_RUNTIME` environment variable is set to
-    /// anything but `0` (the A/B switch `bench_summary` and profiling
-    /// runs use). Read once and cached.
+    /// The mode every fleet entry point uses: [`RuntimeMode::Reuse`].
     pub fn default_mode() -> RuntimeMode {
-        static MODE: OnceLock<RuntimeMode> = OnceLock::new();
-        *MODE.get_or_init(|| match std::env::var_os("THREEGOL_FRESH_RUNTIME") {
-            Some(v) if v != "0" => RuntimeMode::Fresh,
-            _ => RuntimeMode::Reuse,
-        })
+        RuntimeMode::Reuse
     }
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Every experiment implements the typed [`Experiment`] trait: it
 //! decomposes into independent seeded replication units which a
-//! work-stealing [`Pool`] shards across cores, and the partial results
+//! shared FIFO job [`Pool`] shards across cores, and the partial results
 //! merge in unit order — so reports are byte-identical for any worker
 //! count (see `experiment` and `exec` module docs).
 //!

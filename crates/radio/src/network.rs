@@ -230,11 +230,6 @@ impl InstalledCell {
         self.devices[att.0].bs
     }
 
-    /// The attached device (mutable; e.g., to drive its RRC machine).
-    pub fn device_mut(&mut self, att: Attachment) -> &mut Device {
-        &mut self.devices[att.0].device
-    }
-
     /// The attached device.
     pub fn device(&self, att: Attachment) -> &Device {
         &self.devices[att.0].device
