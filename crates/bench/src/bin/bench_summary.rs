@@ -17,7 +17,8 @@
 //! `--only` measures just the named rows (comma-separated) and gates
 //! them against the committed `BENCH_simnet.json` without rewriting
 //! it — the CI perf-smoke mode: a fast subset instead of the full
-//! multi-minute sweep.
+//! multi-minute sweep. An unknown row name exits 2 before anything is
+//! measured.
 //!
 //! The baseline constants below were measured on the same machine from
 //! the tree immediately before the allocation-free/incremental hot
@@ -49,6 +50,25 @@ struct Sample {
 }
 
 const REPS: usize = 7;
+
+/// Every row this binary measures, in measurement order. `--only`
+/// names are checked against it, and a row is measured only if listed.
+const ROWS: &[&str] = &[
+    "live_fleet_50_homes",
+    "live_fleet_200_homes",
+    "home_cost_breakdown",
+    "live_fleet_cells",
+    "live_fleet_scenario_week",
+    "live_fleet_1m_homes",
+    "fig06_home",
+    "street_16_homes",
+    "fleet_1k_homes",
+    "proxy_throughput_segment_relay",
+    "proxy_throughput_upload_relay",
+    "fig06_sweep",
+    "repro_shard_fig06_fig07",
+    "solver_64x256",
+];
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -275,7 +295,14 @@ fn main() {
             }
         }
     }
-    let want = |name: &str| only.as_ref().is_none_or(|rows| rows.iter().any(|r| r == name));
+    if let Some(unknown) = only.iter().flatten().find(|r| !ROWS.contains(&r.as_str())) {
+        eprintln!("unknown row {unknown:?}; rows: {}", ROWS.join(","));
+        std::process::exit(2);
+    }
+    let want = |name: &str| {
+        assert!(ROWS.contains(&name), "row {name:?} is missing from ROWS");
+        only.as_ref().is_none_or(|rows| rows.iter().any(|r| r == name))
+    };
 
     let mut samples = Vec::new();
 

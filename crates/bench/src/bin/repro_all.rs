@@ -6,18 +6,18 @@
 //! cargo run -p threegol-bench --release --bin repro_all [scale] [workers] > EXPERIMENTS.md
 //! ```
 //!
-//! `scale` must lie in (0, 1] (default 1). `workers` overrides the
-//! `THREEGOL_WORKERS` environment variable and the detected core
-//! count. Every experiment decomposes into independent replication
-//! units that all interleave in one shared job pool, and
-//! each experiment's merge step reassembles its partials in unit
-//! order — so the output is byte-identical for any worker count.
+//! `scale` must lie in (0, 1] (default 1) and `workers` defaults to
+//! the core count; a bad value or an extra argument exits 2. Every
+//! experiment decomposes into independent replication units that all
+//! interleave in one shared job pool, and each experiment's merge step
+//! reassembles its partials in unit order — so the output is
+//! byte-identical for any worker count.
 
 use threegol_bench::fleet::{
     run_cell_fleet, run_fleet, run_scenario_fleet, scenario_spec, CellFleetConfig, CellFleetRun,
     FleetDigest, DEFAULT_CHUNK,
 };
-use threegol_bench::{registry, resolve_workers, DynExperiment, Pool, Report, Scale};
+use threegol_bench::{parse_scale_workers, registry, DynExperiment, Pool, Report};
 use threegol_caps::{evaluate_estimator, AllowanceEstimator};
 use threegol_traces::{device_free_history, ScenarioConfig, DEFAULT_SCENARIO_SEED};
 
@@ -263,32 +263,11 @@ fn scenario_section(digest: &FleetDigest, homes: usize) -> (String, bool) {
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1) {
-        None => Scale::FULL,
-        Some(raw) => match raw
-            .parse::<f64>()
-            .map_err(|e| e.to_string())
-            .and_then(|v| Scale::new(v).map_err(|e| e.to_string()))
-        {
-            Ok(scale) => scale,
-            Err(err) => {
-                eprintln!("repro_all: bad scale {raw:?}: {err}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let workers_arg = match std::env::args().nth(2) {
-        None => None,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => Some(n),
-            _ => {
-                eprintln!("repro_all: bad worker count {raw:?}: expected an integer ≥ 1");
-                std::process::exit(2);
-            }
-        },
-    };
+    let (scale, workers) = parse_scale_workers(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("repro_all: {err}");
+        std::process::exit(2);
+    });
     let experiments: Vec<&'static dyn DynExperiment> = registry().all().collect();
-    let workers = resolve_workers(workers_arg);
 
     // One shared pool executes every experiment's units; a lightweight
     // driver thread per experiment submits its units and merges the

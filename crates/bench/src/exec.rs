@@ -15,9 +15,8 @@
 //! * workers are scoped threads: [`Pool::with`] joins them before it
 //!   returns, so a pool can never outlive the driver that created it.
 //!
-//! Worker-count selection (CLI argument beats environment beats
-//! detection) lives in [`resolve_workers`]; the `THREEGOL_WORKERS`
-//! environment variable overrides the detected core count everywhere.
+//! Worker-count selection (the CLI argument, else the detected core
+//! count) lives in [`resolve_workers`].
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -198,14 +197,9 @@ where
 }
 
 /// Pick the worker count: explicit `cli` argument if given, else the
-/// `THREEGOL_WORKERS` environment variable, else the machine's
-/// available parallelism.
+/// machine's available parallelism.
 pub fn resolve_workers(cli: Option<usize>) -> usize {
-    cli.or_else(|| {
-        std::env::var("THREEGOL_WORKERS").ok().and_then(|v| v.trim().parse::<usize>().ok())
-    })
-    .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    .max(1)
+    cli.unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)).max(1)
 }
 
 #[cfg(test)]

@@ -27,8 +27,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use threegol_proxy::{
-    CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
-    SCENARIO_FP_SCALE,
+    bytes_to_fp, fp_to_bytes, CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier,
+    MAX_SCENARIO_DAYS, NO_CELL,
 };
 use threegol_radio::{CellLoad, CellMap};
 use tokio::runtime::Runtime;
@@ -349,19 +349,14 @@ fn fnv_report(r: &HomeReport) -> u64 {
 /// while keeping the digest a fixed-size `Copy` value.
 pub const MAX_CELLS: usize = 32;
 
-/// Fixed-point scale for per-`(cell, hour)` byte accumulators: 2^10
-/// units (~1 millibyte resolution). Coarser than [`FP_SCALE`] on
-/// purpose — the slots are `i64`, and a million-home fleet can land
-/// several terabytes of onloaded bytes in one `(cell, hour)` slot, so
-/// the scale leaves ~2^53 bytes (8 petabytes) of headroom per slot.
-const CELL_FP_SCALE: f64 = (1u64 << 10) as f64;
-
 /// Exactly-mergeable per-cell onload accumulators: for every
 /// `(cell, hour-of-day)` slot, the fixed-point sum of downlink (VoD)
 /// and uplink (upload) bytes that crossed 3G paths, plus a per-cell
 /// home count. All state is integers, so `merge` is element-wise
 /// addition — associative to the last bit, like the rest of
-/// [`FleetDigest`].
+/// [`FleetDigest`]. The byte slots use the scenario fixed point
+/// ([`bytes_to_fp`], 2^10 units per byte), which leaves ~2^53 bytes
+/// of headroom per `i64` slot for a million-home fleet.
 ///
 /// Homes with [`NO_CELL`] (isolated 3G) are not accumulated; a
 /// non-`NO_CELL` cell index must be below [`MAX_CELLS`].
@@ -370,7 +365,7 @@ pub struct CellDigest {
     /// Homes attached per cell.
     pub homes: [u64; MAX_CELLS],
     /// Downlink onloaded bytes per `(cell, hour)`, fixed-point
-    /// (`cell * 24 + hour` layout, `2^-10` units).
+    /// (`cell * 24 + hour` layout).
     dl_fp: [i64; MAX_CELLS * 24],
     /// Uplink onloaded bytes per `(cell, hour)`, same layout.
     ul_fp: [i64; MAX_CELLS * 24],
@@ -380,10 +375,6 @@ impl CellDigest {
     /// The identity digest: no homes, no bytes.
     pub fn empty() -> CellDigest {
         CellDigest { homes: [0; MAX_CELLS], dl_fp: [0; MAX_CELLS * 24], ul_fp: [0; MAX_CELLS * 24] }
-    }
-
-    fn to_cell_fp(v: f64) -> i64 {
-        (v * CELL_FP_SCALE).round() as i64
     }
 
     /// Fold one home's onload into its `(cell, hour)` slot. No-op for
@@ -396,8 +387,8 @@ impl CellDigest {
         assert!(cell < MAX_CELLS, "cell {cell} out of digest range");
         let slot = cell * 24 + (report.hour as usize % 24);
         self.homes[cell] += 1;
-        self.dl_fp[slot] += Self::to_cell_fp(report.vod_device_bytes);
-        self.ul_fp[slot] += Self::to_cell_fp(report.upload_device_bytes);
+        self.dl_fp[slot] += bytes_to_fp(report.vod_device_bytes);
+        self.ul_fp[slot] += bytes_to_fp(report.upload_device_bytes);
     }
 
     /// Fold another digest in: element-wise integer adds, exact and
@@ -411,30 +402,29 @@ impl CellDigest {
     /// Onloaded bytes for cell `cell` at hour `hour`, `(down, up)`.
     pub fn bytes_at(&self, cell: u32, hour: usize) -> (f64, f64) {
         let slot = cell as usize * 24 + hour % 24;
-        (self.dl_fp[slot] as f64 / CELL_FP_SCALE, self.ul_fp[slot] as f64 / CELL_FP_SCALE)
+        (fp_to_bytes(self.dl_fp[slot]), fp_to_bytes(self.ul_fp[slot]))
     }
 
     /// Total onloaded bytes across all cells and hours, `(down, up)`.
     pub fn total_bytes(&self) -> (f64, f64) {
         let dl: i64 = self.dl_fp.iter().sum();
         let ul: i64 = self.ul_fp.iter().sum();
-        (dl as f64 / CELL_FP_SCALE, ul as f64 / CELL_FP_SCALE)
+        (fp_to_bytes(dl), fp_to_bytes(ul))
     }
 
     /// The accumulated load on the first `cells` cells as
     /// [`CellLoad`]s: the hourly byte sums become mean extra bits/s
-    /// over that hour, with each simulated home standing in for
-    /// `scale_per_home` city households (the fleet samples the city;
-    /// see `CellFleetConfig::scale_per_home`).
-    pub fn loads(&self, cells: u32, scale_per_home: f64) -> Vec<CellLoad> {
+    /// over that hour, with each simulated home standing in for 1000
+    /// city households (the fleet samples the city; see DESIGN.md §12).
+    pub fn loads(&self, cells: u32) -> Vec<CellLoad> {
         (0..cells)
             .map(|cell| {
                 let mut load = CellLoad::empty(cell);
                 load.homes = self.homes[cell as usize];
                 for hour in 0..24 {
                     let (dl, ul) = self.bytes_at(cell, hour);
-                    load.dl_bps[hour] = dl * 8.0 / 3600.0 * scale_per_home;
-                    load.ul_bps[hour] = ul * 8.0 / 3600.0 * scale_per_home;
+                    load.dl_bps[hour] = dl * 8.0 / 3600.0 * SCALE_PER_HOME;
+                    load.ul_bps[hour] = ul * 8.0 / 3600.0 * SCALE_PER_HOME;
                 }
                 load
             })
@@ -445,8 +435,8 @@ impl CellDigest {
 /// Exactly-mergeable accumulators for traced-scenario fleets
 /// (DESIGN.md §14): per-day and per-hour onloaded bytes in `i64`
 /// fixed-point (the reports already carry them at
-/// [`SCENARIO_FP_SCALE`]), session counters, and the live allowance
-/// loop's overrun/grant tallies. All integers, so `merge` is
+/// [`threegol_proxy::SCENARIO_FP_SCALE`]), session counters, and the
+/// live allowance loop's overrun/grant tallies. All integers, so `merge` is
 /// element-wise addition — associative to the last bit, keeping the
 /// four-invariant determinism contract for scenario fleets.
 ///
@@ -536,18 +526,12 @@ impl ScenarioDigest {
 
     /// Onloaded bytes on scenario day `day`, `(down, up)`.
     pub fn bytes_on_day(&self, day: usize) -> (f64, f64) {
-        (
-            self.day_dl_fp[day] as f64 / SCENARIO_FP_SCALE,
-            self.day_ul_fp[day] as f64 / SCENARIO_FP_SCALE,
-        )
+        (fp_to_bytes(self.day_dl_fp[day]), fp_to_bytes(self.day_ul_fp[day]))
     }
 
     /// Onloaded bytes at hour of day `hour`, `(down, up)`.
     pub fn bytes_at_hour(&self, hour: usize) -> (f64, f64) {
-        (
-            self.hour_dl_fp[hour % 24] as f64 / SCENARIO_FP_SCALE,
-            self.hour_ul_fp[hour % 24] as f64 / SCENARIO_FP_SCALE,
-        )
+        (fp_to_bytes(self.hour_dl_fp[hour % 24]), fp_to_bytes(self.hour_ul_fp[hour % 24]))
     }
 
     /// Fraction of device-days with a positive allowance fully
@@ -571,7 +555,7 @@ impl ScenarioDigest {
 
     /// Total allowance granted across device-days, bytes.
     pub fn granted_bytes(&self) -> f64 {
-        self.granted_fp as f64 / SCENARIO_FP_SCALE
+        fp_to_bytes(self.granted_fp)
     }
 }
 
@@ -959,38 +943,30 @@ pub struct CellFleetConfig {
     /// Convergence threshold: the loop stops once no per-phone share
     /// changed by more than this relative amount between passes.
     pub tolerance: f64,
-    /// City households each simulated home stands in for when its
-    /// onloaded bytes are charged to the cell. The paper's back of the
-    /// envelope (§2.1) puts ~880 DSL households under one urban cell;
-    /// the default of 1000 lets a thousand-home fleet model a
-    /// million-household city.
-    pub scale_per_home: f64,
-    /// Nominal (uncontended) per-phone 3G downlink, bits/s.
-    pub nominal_down_bps: f64,
-    /// Nominal (uncontended) per-phone 3G uplink, bits/s.
-    pub nominal_up_bps: f64,
-    /// Relaxation weight for the share update, `(0, 1]`: each pass
-    /// moves the shares this fraction of the way toward the loads'
-    /// implied shares. `1.0` is the raw undamped update, which can
-    /// oscillate (low share → bytes shift to ADSL → load drops →
-    /// high share → …); `0.5` halves the oscillation amplitude every
-    /// pass.
-    pub damping: f64,
 }
 
 impl Default for CellFleetConfig {
     fn default() -> CellFleetConfig {
-        CellFleetConfig {
-            cells: 8,
-            max_passes: 8,
-            tolerance: 0.05,
-            scale_per_home: 1000.0,
-            nominal_down_bps: 2e6,
-            nominal_up_bps: 1e6,
-            damping: 0.5,
-        }
+        CellFleetConfig { cells: 8, max_passes: 8, tolerance: 0.05 }
     }
 }
+
+/// City households each simulated home stands in for when its onloaded
+/// bytes are charged to the cell. The paper's back of the envelope
+/// (§2.1) puts ~880 DSL households under one urban cell; 1000 lets a
+/// thousand-home fleet model a million-household city.
+const SCALE_PER_HOME: f64 = 1000.0;
+
+/// Nominal (uncontended) per-phone 3G downlink and uplink, bits/s.
+const NOMINAL_DOWN_BPS: f64 = 2e6;
+const NOMINAL_UP_BPS: f64 = 1e6;
+
+/// Relaxation weight for the share update: each pass moves the shares
+/// this fraction of the way toward the loads' implied shares. The raw
+/// undamped update (1.0) can oscillate (low share → bytes shift to
+/// ADSL → load drops → high share → …); 0.5 halves the oscillation
+/// amplitude every pass.
+const DAMPING: f64 = 0.5;
 
 /// The outcome of a cell-coupled fleet run: the final pass's digest,
 /// how the fixed point went, and the per-cell load and share curves it
@@ -1024,7 +1000,7 @@ impl CellFleetRun {
             self.passes,
             if self.passes == 1 { "" } else { "es" },
             if self.converged { "converged" } else { "not converged" },
-            self.config.scale_per_home,
+            SCALE_PER_HOME,
         ));
         out.push_str(
             "cell  area              homes  peak-dl Mb/s  peak-ul Mb/s  peak-h  share@19h Mb/s\n",
@@ -1058,13 +1034,13 @@ fn profile_shift(old: &CellProfile, new: &CellProfile) -> f64 {
 }
 
 /// Per-phone share curves for every cell given the loads of the
-/// previous pass (pure function of map + config + loads).
-fn share_profiles(map: &CellMap, config: &CellFleetConfig, loads: &[CellLoad]) -> Vec<CellProfile> {
+/// previous pass (pure function of map + loads).
+fn share_profiles(map: &CellMap, loads: &[CellLoad]) -> Vec<CellProfile> {
     loads
         .iter()
         .map(|load| {
             let (down_bps, up_bps) =
-                map.phone_share(load.cell, config.nominal_down_bps, config.nominal_up_bps, load);
+                map.phone_share(load.cell, NOMINAL_DOWN_BPS, NOMINAL_UP_BPS, load);
             CellProfile { cell: load.cell, down_bps, up_bps }
         })
         .collect()
@@ -1100,7 +1076,7 @@ pub fn run_cell_fleet(
     assert!(config.max_passes > 0, "need at least one pass");
     let map = CellMap::city(config.cells);
     let empty: Vec<CellLoad> = (0..config.cells).map(CellLoad::empty).collect();
-    let mut profiles = share_profiles(&map, config, &empty);
+    let mut profiles = share_profiles(&map, &empty);
     let mut passes = 0;
     loop {
         passes += 1;
@@ -1109,15 +1085,14 @@ pub fn run_cell_fleet(
             let cell = pass_map.cell_of(index);
             home_spec(index).hour(pass_map.hour_of(index)).cell(pass_profiles[cell as usize])
         });
-        let loads = digest.cells.loads(config.cells, config.scale_per_home);
-        let mut next = share_profiles(&map, config, &loads);
-        // Relax: move only `damping` of the way toward the implied
+        let loads = digest.cells.loads(config.cells);
+        let mut next = share_profiles(&map, &loads);
+        // Relax: move only `DAMPING` of the way toward the implied
         // shares, so the load↔share oscillation contracts.
         for (new, old) in next.iter_mut().zip(profiles.iter()) {
             for h in 0..24 {
-                new.down_bps[h] =
-                    old.down_bps[h] + config.damping * (new.down_bps[h] - old.down_bps[h]);
-                new.up_bps[h] = old.up_bps[h] + config.damping * (new.up_bps[h] - old.up_bps[h]);
+                new.down_bps[h] = old.down_bps[h] + DAMPING * (new.down_bps[h] - old.down_bps[h]);
+                new.up_bps[h] = old.up_bps[h] + DAMPING * (new.up_bps[h] - old.up_bps[h]);
             }
         }
         let shift = profiles
@@ -1308,12 +1283,8 @@ mod tests {
         }
         assert_eq!(digest.scenario.device_days, device_days);
         assert_eq!(digest.scenario.overrun_device_days, overruns);
-        assert!(
-            (digest.scenario.granted_bytes() - granted as f64 / SCENARIO_FP_SCALE).abs() < 1e-9
-        );
-        assert!(
-            (digest.scenario.bytes_on_day(3).0 - day3_dl as f64 / SCENARIO_FP_SCALE).abs() < 1e-9
-        );
+        assert!((digest.scenario.granted_bytes() - fp_to_bytes(granted)).abs() < 1e-9);
+        assert!((digest.scenario.bytes_on_day(3).0 - fp_to_bytes(day3_dl)).abs() < 1e-9);
         let rate = digest.scenario.overrun_rate();
         assert!((0.0..=1.0).contains(&rate));
         assert!((rate - overruns as f64 / device_days as f64).abs() < 1e-12);
@@ -1383,7 +1354,7 @@ mod tests {
         assert!((dl - want_dl).abs() < 1.0, "{dl} vs {want_dl}");
         assert!((ul - want_ul).abs() < 1.0);
         // Loads convert bytes to mean bits/s with the city scale.
-        let loads = digest.loads(5, 1000.0);
+        let loads = digest.loads(5);
         let r = synthetic_report(7); // cell 2, hour 7
         let (dl7, _) = digest.bytes_at(2, 7);
         assert!(dl7 >= r.vod_device_bytes * 0.999);
@@ -1394,8 +1365,7 @@ mod tests {
 
     #[test]
     fn cell_fleet_reaches_a_deterministic_fixed_point() {
-        let config =
-            CellFleetConfig { cells: 4, scale_per_home: 20_000.0, ..CellFleetConfig::default() };
+        let config = CellFleetConfig { cells: 4, ..CellFleetConfig::default() };
         let a = Pool::with(2, |pool| run_cell_fleet(12, 3, pool, &config));
         let b = Pool::with(1, |pool| run_cell_fleet(12, 5, pool, &config));
         assert_eq!(a.passes, b.passes);

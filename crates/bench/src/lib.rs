@@ -13,11 +13,11 @@
 //! merge in unit order — so reports are byte-identical for any worker
 //! count (see `experiment` and `exec` module docs).
 //!
-//! Run a single experiment (optionally at a reduced scale / explicit
-//! worker count):
+//! Run a single experiment by id (optionally at a reduced scale /
+//! explicit worker count):
 //!
 //! ```text
-//! cargo run -p threegol-bench --release --bin fig06_schedulers [scale] [workers]
+//! cargo run -p threegol-bench --release --bin repro -- fig06 [scale] [workers]
 //! ```
 //!
 //! Run everything and emit an EXPERIMENTS.md-ready report:
@@ -36,8 +36,7 @@
 //! cargo run -p threegol-bench --release --bin fleet [homes] [workers] [chunk]
 //! ```
 //!
-//! The `THREEGOL_WORKERS` environment variable overrides the detected
-//! core count when no explicit worker argument is given.
+//! Every binary's worker count defaults to the detected core count.
 
 pub mod exec;
 pub mod experiment;
@@ -51,43 +50,33 @@ pub use experiment::{registry, DynExperiment, Experiment, Registry, Scale, Scale
 pub use fleet::{run_fleet, FleetDigest, MetricDigest};
 pub use util::{Check, Report, ReportBuilder};
 
-/// Shared entry point for the per-experiment binaries: parse
-/// `[scale] [workers]` from the command line, run the experiment
-/// sharded across a worker pool, render to stdout, and exit non-zero
-/// if any paper-vs-measured check failed.
-pub fn bin_main(id: &str) {
-    let mut args = std::env::args().skip(1);
+/// Parse the `[scale] [workers]` arguments of `repro` and
+/// `repro_all`: `scale` in (0, 1] (default 1) and a positive worker
+/// count (default: the core count, see [`resolve_workers`]). Returns
+/// the scale and the resolved worker count, or the message for a bad
+/// value or an extra argument.
+pub fn parse_scale_workers(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Scale, usize), String> {
     let scale = match args.next() {
         None => Scale::FULL,
-        Some(raw) => match raw
+        Some(raw) => raw
             .parse::<f64>()
             .map_err(|e| e.to_string())
             .and_then(|v| Scale::new(v).map_err(|e| e.to_string()))
-        {
-            Ok(scale) => scale,
-            Err(err) => {
-                eprintln!("invalid scale {raw:?}: {err}");
-                std::process::exit(2);
-            }
-        },
+            .map_err(|err| format!("invalid scale {raw:?}: {err}"))?,
     };
-    let workers_arg = match args.next() {
+    let workers = match args.next() {
         None => None,
         Some(raw) => match raw.parse::<usize>() {
             Ok(w) if w >= 1 => Some(w),
-            _ => {
-                eprintln!("invalid worker count {raw:?}: expected a positive integer");
-                std::process::exit(2);
-            }
+            _ => return Err(format!("invalid worker count {raw:?}: expected a positive integer")),
         },
     };
-    let experiment = registry().get(id).expect("binary wired to a registered experiment id");
-    let workers = resolve_workers(workers_arg).min(experiment.unit_count(scale).max(1));
-    let report = Pool::with(workers, |pool| experiment.run_sharded(scale, pool));
-    print!("{}", report.render());
-    if !report.all_ok() {
-        std::process::exit(1);
+    if let Some(extra) = args.next() {
+        return Err(format!("unexpected argument {extra:?}: at most [scale] [workers]"));
     }
+    Ok((scale, resolve_workers(workers)))
 }
 
 #[cfg(test)]

@@ -114,6 +114,17 @@ pub const MAX_SCENARIO_DAYS: usize = 35;
 /// an `i64` slot — integer adds merge exactly associatively.
 pub const SCENARIO_FP_SCALE: f64 = 1024.0;
 
+/// Bytes → fixed point at [`SCENARIO_FP_SCALE`], rounded to the
+/// nearest unit.
+pub fn bytes_to_fp(bytes: f64) -> i64 {
+    (bytes * SCENARIO_FP_SCALE).round() as i64
+}
+
+/// Fixed point at [`SCENARIO_FP_SCALE`] → bytes.
+pub fn fp_to_bytes(fp: i64) -> f64 {
+    fp as f64 / SCENARIO_FP_SCALE
+}
+
 /// How a home's workload is driven (DESIGN.md §14).
 ///
 /// `PaperDefault` is the original fixed script — one VoD prebuffer
@@ -293,12 +304,6 @@ impl HomeSpec {
         self
     }
 
-    /// Give the phones private 3G rates (the uncoupled default).
-    pub fn isolated(mut self, down_bps: f64, up_bps: f64) -> HomeSpec {
-        self.g3 = G3Source::isolated(down_bps, up_bps);
-        self
-    }
-
     /// Set the hour of day `[0, 24)` the run starts at (the whole run
     /// for the paper script; the day-0 offset for a traced scenario).
     pub fn hour(mut self, hour: u8) -> HomeSpec {
@@ -317,11 +322,6 @@ impl HomeSpec {
         }
         self.scenario = scenario;
         self
-    }
-
-    /// Shorthand for a [`Scenario::Traced`] run of `days` days.
-    pub fn traced(self, days: u16, seed: u64) -> HomeSpec {
-        self.scenario(Scenario::Traced { days, seed })
     }
 }
 

@@ -63,8 +63,8 @@ pub use device::DeviceProxy;
 pub use discovery::{Advertisement, Discovery};
 pub use hlsproxy::HlsProxy;
 pub use home::{
-    Home, HomeNet, HomeReport, HomeSpec, Scenario, Tier, MAX_SCENARIO_DAYS, NO_CELL,
-    SCENARIO_FP_SCALE,
+    bytes_to_fp, fp_to_bytes, Home, HomeNet, HomeReport, HomeSpec, Scenario, Tier,
+    MAX_SCENARIO_DAYS, NO_CELL, SCENARIO_FP_SCALE,
 };
 pub use origin::OriginServer;
 pub use throttle::{RateLimit, SharedRateLimit, ThrottledStream};

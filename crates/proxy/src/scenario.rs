@@ -43,17 +43,12 @@ use crate::client::{PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
 use crate::discovery::{Advertisement, Announcer, Discovery};
 use crate::home::{
-    photo_body, HomeNet, HomeReport, HomeSpec, MAX_SCENARIO_DAYS, NO_CELL, SCENARIO_FP_SCALE,
+    bytes_to_fp, photo_body, HomeNet, HomeReport, HomeSpec, MAX_SCENARIO_DAYS, NO_CELL,
 };
 use crate::origin::OriginServer;
 use crate::throttle::SharedRateLimit;
 
 const DAY_SECS: f64 = 86_400.0;
-
-/// Bytes → the report's fixed-point representation.
-fn fp(bytes: f64) -> i64 {
-    (bytes * SCENARIO_FP_SCALE).round() as i64
-}
 
 /// Entry point for [`crate::Scenario::Traced`]: the paper-flavored
 /// [`ScenarioConfig`] at `seed`.
@@ -80,7 +75,7 @@ async fn advance_to(epoch: &Instant, offset_secs: f64) {
 /// fully exhausted. Called at every day boundary *before* the roll-over
 /// wipes the day's usage, and once more after the final day.
 fn close_device_day(report: &mut HomeReport, device: &DeviceProxy, granted: f64) {
-    report.used_allowance_fp += fp(device.used_bytes().min(granted));
+    report.used_allowance_fp += bytes_to_fp(device.used_bytes().min(granted));
     if granted > 0.0 && !device.should_advertise() {
         report.overrun_device_days += 1;
     }
@@ -157,7 +152,7 @@ pub async fn run_with_config(
 
     let mut present = vec![true; spec.devices];
     let mut granted_today: Vec<f64> = allowances.iter().map(|a| a.daily_allowance()).collect();
-    report.granted_allowance_fp += granted_today.iter().map(|&g| fp(g)).sum::<i64>();
+    report.granted_allowance_fp += granted_today.iter().map(|&g| bytes_to_fp(g)).sum::<i64>();
     let mut month_cursor = 0usize;
     let mut vod_baseline_secs = 0.0;
     let mut upload_baseline_secs = 0.0;
@@ -175,7 +170,7 @@ pub async fn run_with_config(
                     allowances[i].finish_month(future_months[i][month_cursor]);
                 }
                 granted_today[i] = allowances[i].daily_allowance();
-                report.granted_allowance_fp += fp(granted_today[i]);
+                report.granted_allowance_fp += bytes_to_fp(granted_today[i]);
                 devices[i].roll_over(granted_today[i]);
             }
             if month_end {
@@ -222,8 +217,8 @@ pub async fn run_with_config(
                     vod_baseline_secs += bytes * 8.0 / spec.adsl_down_bps;
                     let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
                     report.vod_device_bytes += onload;
-                    report.day_dl_fp[day_idx] += fp(onload);
-                    report.hour_dl_fp[hour_idx] += fp(onload);
+                    report.day_dl_fp[day_idx] += bytes_to_fp(onload);
+                    report.hour_dl_fp[hour_idx] += bytes_to_fp(onload);
                 }
                 HomeEvent::Upload { photos } => {
                     let day_idx = day as usize;
@@ -264,8 +259,8 @@ pub async fn run_with_config(
                     let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
                     report.upload_device_bytes += onload;
                     report.upload_wasted_bytes += tr.wasted_bytes;
-                    report.day_ul_fp[day_idx] += fp(onload);
-                    report.hour_ul_fp[hour_idx] += fp(onload);
+                    report.day_ul_fp[day_idx] += bytes_to_fp(onload);
+                    report.hour_ul_fp[hour_idx] += bytes_to_fp(onload);
                 }
             }
         }
@@ -333,7 +328,7 @@ async fn session_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::home::{Home, Scenario, Tier};
+    use crate::home::{fp_to_bytes, Home, Scenario, Tier};
     use crate::throttle::RateLimit;
     use threegol_http::codec::HttpStream;
     use threegol_http::Request;
@@ -345,7 +340,10 @@ mod tests {
 
     #[test]
     fn traced_week_runs_and_accounts() {
-        let spec = HomeSpec::tier(Tier::Standard).index(5).hour(0).traced(7, 0x3601);
+        let spec = HomeSpec::tier(Tier::Standard)
+            .index(5)
+            .hour(0)
+            .scenario(Scenario::Traced { days: 7, seed: 0x3601 });
         let report = run_traced_home(spec);
         assert_eq!(report.days, 7);
         assert_eq!(report.device_days, 14);
@@ -356,8 +354,8 @@ mod tests {
         let day_ul: i64 = report.day_ul_fp.iter().sum();
         assert_eq!(day_dl, report.hour_dl_fp.iter().sum::<i64>());
         assert_eq!(day_ul, report.hour_ul_fp.iter().sum::<i64>());
-        assert!((day_dl as f64 / SCENARIO_FP_SCALE - report.vod_device_bytes).abs() < 1.0);
-        assert!((day_ul as f64 / SCENARIO_FP_SCALE - report.upload_device_bytes).abs() < 1.0);
+        assert!((fp_to_bytes(day_dl) - report.vod_device_bytes).abs() < 1.0);
+        assert!((fp_to_bytes(day_ul) - report.upload_device_bytes).abs() < 1.0);
         // Consumption never exceeds what the live estimator granted.
         assert!(report.used_allowance_fp <= report.granted_allowance_fp);
         assert!(report.vod_gain.is_finite() && report.upload_gain.is_finite());
@@ -365,7 +363,10 @@ mod tests {
 
     #[test]
     fn traced_runs_are_bitwise_repeatable() {
-        let spec = HomeSpec::tier(Tier::Fast).index(11).hour(0).traced(3, 7);
+        let spec = HomeSpec::tier(Tier::Fast)
+            .index(11)
+            .hour(0)
+            .scenario(Scenario::Traced { days: 3, seed: 7 });
         let a = run_traced_home(spec);
         let b = run_traced_home(spec);
         assert_eq!(a, b);
@@ -447,7 +448,10 @@ mod tests {
         // session runs ADSL-only — gracefully, with gain ≈ 1.
         let config =
             ScenarioConfig { free_mean_bytes: 0.0, leave_chance: 0.0, ..ScenarioConfig::paper(42) };
-        let spec = HomeSpec::tier(Tier::Standard).index(8).hour(0).traced(2, 42);
+        let spec = HomeSpec::tier(Tier::Standard)
+            .index(8)
+            .hour(0)
+            .scenario(Scenario::Traced { days: 2, seed: 42 });
         let report = tokio::runtime::block_on(run_with_config(&spec, 2, &config)).unwrap();
         assert!(report.sessions > 0);
         assert_eq!(report.adsl_only_sessions, report.sessions);
@@ -463,7 +467,11 @@ mod tests {
         // Constant churn (every device leaves every day) with real
         // allowances: sessions during presence windows still onload.
         let config = ScenarioConfig { leave_chance: 1.0, ..ScenarioConfig::paper(0x3601) };
-        let spec = HomeSpec::tier(Tier::Premium).index(2).devices(3).hour(0).traced(5, 0x3601);
+        let spec = HomeSpec::tier(Tier::Premium)
+            .index(2)
+            .devices(3)
+            .hour(0)
+            .scenario(Scenario::Traced { days: 5, seed: 0x3601 });
         let report = tokio::runtime::block_on(run_with_config(&spec, 5, &config)).unwrap();
         assert!(report.sessions > 0);
         assert!(

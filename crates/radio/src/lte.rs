@@ -11,7 +11,7 @@
 //! rates of the era), raises the channel ceilings (20 MHz cat-3 LTE:
 //! ~75 Mbit/s down, ~25 Mbit/s up per cell), and shrinks the RRC
 //! promotion delay to ~100 ms (LTE RRC connection setup). The ablation
-//! bench `abl03_ablation` quantifies the §2.3 claim.
+//! `abl03` (`repro abl03`) quantifies the §2.3 claim.
 
 use crate::efficiency::EfficiencyCurve;
 use crate::rrc::RrcConfig;
