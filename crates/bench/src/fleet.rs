@@ -26,9 +26,9 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+pub use threegol_proxy::ScenarioDigest;
 use threegol_proxy::{
-    bytes_to_fp, fp_to_bytes, CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier,
-    MAX_SCENARIO_DAYS, NO_CELL,
+    bytes_to_fp, fp_to_bytes, CellProfile, Home, HomeReport, HomeSpec, Scenario, Tier, NO_CELL,
 };
 use threegol_radio::{CellLoad, CellMap};
 use tokio::runtime::Runtime;
@@ -324,19 +324,21 @@ fn fnv_report(r: &HomeReport) -> u64 {
     ] {
         eat(&v.to_bits().to_le_bytes());
     }
-    // Scenario fields are hashed only for traced runs: a paper-default
-    // report (`days == 0`, every field below zero) keeps the exact byte
-    // stream of the pre-scenario digest, so recorded baselines — the
-    // million-home run included — stay bit-for-bit reproducible.
+    // The scenario tally is hashed only for traced runs: a paper-default
+    // report (`days == 0`, empty tally) keeps the exact byte stream of
+    // the pre-scenario digest, so recorded baselines — the million-home
+    // run included — stay bit-for-bit reproducible.
     if r.days > 0 {
+        let s = &r.scenario;
         eat(&r.days.to_le_bytes());
-        eat(&r.sessions.to_le_bytes());
-        eat(&r.adsl_only_sessions.to_le_bytes());
-        eat(&r.overrun_device_days.to_le_bytes());
-        eat(&r.device_days.to_le_bytes());
-        eat(&r.granted_allowance_fp.to_le_bytes());
-        eat(&r.used_allowance_fp.to_le_bytes());
-        for v in r.day_dl_fp.iter().chain(&r.day_ul_fp).chain(&r.hour_dl_fp).chain(&r.hour_ul_fp) {
+        // One home's counts hash at u32, the width the recorded traced
+        // digests were taken with (`homes`, always 1, is not hashed).
+        for count in [s.sessions, s.adsl_only_sessions, s.overrun_device_days, s.device_days] {
+            eat(&u32::try_from(count).expect("one home's count fits u32").to_le_bytes());
+        }
+        eat(&s.granted_fp.to_le_bytes());
+        eat(&s.used_fp.to_le_bytes());
+        for v in s.day_dl_fp.iter().chain(&s.day_ul_fp).chain(&s.hour_dl_fp).chain(&s.hour_ul_fp) {
             eat(&v.to_le_bytes());
         }
     }
@@ -358,7 +360,7 @@ pub const MAX_CELLS: usize = 32;
 /// ([`bytes_to_fp`], 2^10 units per byte), which leaves ~2^53 bytes
 /// of headroom per `i64` slot for a million-home fleet.
 ///
-/// Homes with [`NO_CELL`] (isolated 3G) are not accumulated; a
+/// Homes with [`NO_CELL`] (private 3G) are not accumulated; a
 /// non-`NO_CELL` cell index must be below [`MAX_CELLS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellDigest {
@@ -432,133 +434,6 @@ impl CellDigest {
     }
 }
 
-/// Exactly-mergeable accumulators for traced-scenario fleets
-/// (DESIGN.md §14): per-day and per-hour onloaded bytes in `i64`
-/// fixed-point (the reports already carry them at
-/// [`threegol_proxy::SCENARIO_FP_SCALE`]), session counters, and the
-/// live allowance loop's overrun/grant tallies. All integers, so `merge` is
-/// element-wise addition — associative to the last bit, keeping the
-/// four-invariant determinism contract for scenario fleets.
-///
-/// Paper-default reports (`days == 0`) are not accumulated, so a mixed
-/// or classic fleet leaves this digest at the identity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScenarioDigest {
-    /// Traced homes folded in.
-    pub homes: u64,
-    /// Total simulated device-days.
-    pub device_days: u64,
-    /// Device-days that exhausted a positive granted allowance.
-    pub overrun_device_days: u64,
-    /// VoD + upload sessions executed.
-    pub sessions: u64,
-    /// Sessions that ran ADSL-only (no admissible 3G path).
-    pub adsl_only_sessions: u64,
-    /// Daily allowance granted across device-days, fixed-point bytes.
-    granted_fp: i64,
-    /// Allowance consumed (`min(used, granted)` per device-day),
-    /// fixed-point bytes.
-    used_fp: i64,
-    /// Downlink onload per scenario day, fixed-point bytes.
-    day_dl_fp: [i64; MAX_SCENARIO_DAYS],
-    /// Uplink onload per scenario day, fixed-point bytes.
-    day_ul_fp: [i64; MAX_SCENARIO_DAYS],
-    /// Downlink onload per hour of day, fixed-point bytes.
-    hour_dl_fp: [i64; 24],
-    /// Uplink onload per hour of day, fixed-point bytes.
-    hour_ul_fp: [i64; 24],
-}
-
-impl ScenarioDigest {
-    /// The identity digest: no traced homes, no bytes.
-    pub fn empty() -> ScenarioDigest {
-        ScenarioDigest {
-            homes: 0,
-            device_days: 0,
-            overrun_device_days: 0,
-            sessions: 0,
-            adsl_only_sessions: 0,
-            granted_fp: 0,
-            used_fp: 0,
-            day_dl_fp: [0; MAX_SCENARIO_DAYS],
-            day_ul_fp: [0; MAX_SCENARIO_DAYS],
-            hour_dl_fp: [0; 24],
-            hour_ul_fp: [0; 24],
-        }
-    }
-
-    /// Fold one home's scenario block in. No-op for paper-default
-    /// reports.
-    pub fn observe(&mut self, report: &HomeReport) {
-        if report.days == 0 {
-            return;
-        }
-        self.merge(&ScenarioDigest {
-            homes: 1,
-            device_days: report.device_days as u64,
-            overrun_device_days: report.overrun_device_days as u64,
-            sessions: report.sessions as u64,
-            adsl_only_sessions: report.adsl_only_sessions as u64,
-            granted_fp: report.granted_allowance_fp,
-            used_fp: report.used_allowance_fp,
-            day_dl_fp: report.day_dl_fp,
-            day_ul_fp: report.day_ul_fp,
-            hour_dl_fp: report.hour_dl_fp,
-            hour_ul_fp: report.hour_ul_fp,
-        });
-    }
-
-    /// Fold another digest in: element-wise integer adds, exact and
-    /// associative.
-    pub fn merge(&mut self, other: &ScenarioDigest) {
-        self.homes += other.homes;
-        self.device_days += other.device_days;
-        self.overrun_device_days += other.overrun_device_days;
-        self.sessions += other.sessions;
-        self.adsl_only_sessions += other.adsl_only_sessions;
-        self.granted_fp += other.granted_fp;
-        self.used_fp += other.used_fp;
-        add_each(&mut self.day_dl_fp, &other.day_dl_fp);
-        add_each(&mut self.day_ul_fp, &other.day_ul_fp);
-        add_each(&mut self.hour_dl_fp, &other.hour_dl_fp);
-        add_each(&mut self.hour_ul_fp, &other.hour_ul_fp);
-    }
-
-    /// Onloaded bytes on scenario day `day`, `(down, up)`.
-    pub fn bytes_on_day(&self, day: usize) -> (f64, f64) {
-        (fp_to_bytes(self.day_dl_fp[day]), fp_to_bytes(self.day_ul_fp[day]))
-    }
-
-    /// Onloaded bytes at hour of day `hour`, `(down, up)`.
-    pub fn bytes_at_hour(&self, hour: usize) -> (f64, f64) {
-        (fp_to_bytes(self.hour_dl_fp[hour % 24]), fp_to_bytes(self.hour_ul_fp[hour % 24]))
-    }
-
-    /// Fraction of device-days with a positive allowance fully
-    /// exhausted — the live overrun rate the §6 estimator design
-    /// targets at "under one day per month" (≈ 0.033).
-    pub fn overrun_rate(&self) -> f64 {
-        if self.device_days == 0 {
-            return 0.0;
-        }
-        self.overrun_device_days as f64 / self.device_days as f64
-    }
-
-    /// Fraction of the granted allowance the workload actually
-    /// consumed (`Σ min(used, granted) / Σ granted`).
-    pub fn captured_fraction(&self) -> f64 {
-        if self.granted_fp == 0 {
-            return 0.0;
-        }
-        self.used_fp as f64 / self.granted_fp as f64
-    }
-
-    /// Total allowance granted across device-days, bytes.
-    pub fn granted_bytes(&self) -> f64 {
-        fp_to_bytes(self.granted_fp)
-    }
-}
-
 impl FleetDigest {
     /// The identity digest: zero homes. Merging it in either direction
     /// is a no-op.
@@ -589,7 +464,9 @@ impl FleetDigest {
         self.vod_secs.observe(report.vod_secs);
         self.upload_secs.observe(report.upload_secs);
         self.cells.observe(report);
-        self.scenario.observe(report);
+        if report.days > 0 {
+            self.scenario.merge(&report.scenario);
+        }
         self.vod_bytes_fp += to_fp(report.vod_bytes);
         self.upload_bytes_fp += to_fp(report.upload_bytes);
         self.device_bytes_fp += to_fp(report.vod_device_bytes + report.upload_device_bytes);
@@ -1132,10 +1009,10 @@ mod tests {
     #[test]
     fn specs_are_heterogeneous_but_deterministic() {
         assert_eq!(home_spec(5), home_spec(5));
-        assert_ne!(home_spec(0).adsl_down_bps, home_spec(1).adsl_down_bps);
+        assert_ne!(home_spec(0).tier, home_spec(1).tier);
         assert_eq!(home_spec(0).devices, 1);
         assert_eq!(home_spec(2).devices, 3);
-        assert_eq!(home_spec(4).adsl_down_bps, home_spec(0).adsl_down_bps);
+        assert_eq!(home_spec(4).tier, home_spec(0).tier);
         // The index space reaches a million homes and beyond.
         assert_eq!(home_spec(1_000_000).index, 1_000_000);
     }
@@ -1163,16 +1040,18 @@ mod tests {
         // accumulators too.
         if !index.is_multiple_of(3) {
             r.days = 1 + (index % 7) as u16;
-            r.sessions = 2 + index % 9;
-            r.adsl_only_sessions = index % 3;
-            r.overrun_device_days = index % 4;
-            r.device_days = r.days as u32 * 2;
-            r.granted_allowance_fp = (index as i64 + 7) * 1_000_003;
-            r.used_allowance_fp = index as i64 * 999_983;
-            r.day_dl_fp[(index % 7) as usize] = index as i64 * 11;
-            r.day_ul_fp[(index % 5) as usize] = index as i64 * 13;
-            r.hour_dl_fp[(index % 24) as usize] = index as i64 * 17;
-            r.hour_ul_fp[(index % 23) as usize] = index as i64 * 19;
+            let s = &mut r.scenario;
+            s.homes = 1;
+            s.sessions = 2 + u64::from(index % 9);
+            s.adsl_only_sessions = u64::from(index % 3);
+            s.overrun_device_days = u64::from(index % 4);
+            s.device_days = u64::from(r.days) * 2;
+            s.granted_fp = (index as i64 + 7) * 1_000_003;
+            s.used_fp = index as i64 * 999_983;
+            s.day_dl_fp[(index % 7) as usize] = index as i64 * 11;
+            s.day_ul_fp[(index % 5) as usize] = index as i64 * 13;
+            s.hour_dl_fp[(index % 24) as usize] = index as i64 * 17;
+            s.hour_ul_fp[(index % 23) as usize] = index as i64 * 19;
         }
         r
     }
@@ -1276,10 +1155,10 @@ mod tests {
         let mut day3_dl = 0i64;
         for i in 0..200u32 {
             let r = synthetic_report(i);
-            device_days += u64::from(r.device_days);
-            overruns += u64::from(r.overrun_device_days);
-            granted += r.granted_allowance_fp;
-            day3_dl += r.day_dl_fp[3];
+            device_days += r.scenario.device_days;
+            overruns += r.scenario.overrun_device_days;
+            granted += r.scenario.granted_fp;
+            day3_dl += r.scenario.day_dl_fp[3];
         }
         assert_eq!(digest.scenario.device_days, device_days);
         assert_eq!(digest.scenario.overrun_device_days, overruns);
@@ -1302,10 +1181,10 @@ mod tests {
         for tweak in 0..4usize {
             let mut t = traced;
             match tweak {
-                0 => t.overrun_device_days += 1,
-                1 => t.granted_allowance_fp ^= 1,
-                2 => t.day_ul_fp[7] ^= 1,
-                _ => t.hour_dl_fp[21] ^= 1,
+                0 => t.scenario.overrun_device_days += 1,
+                1 => t.scenario.granted_fp ^= 1,
+                2 => t.scenario.day_ul_fp[7] ^= 1,
+                _ => t.scenario.hour_dl_fp[21] ^= 1,
             }
             let mut d = FleetDigest::empty();
             d.observe(&t);
@@ -1318,9 +1197,9 @@ mod tests {
         let paper = synthetic_report(3); // 3 % 3 == 0 → paper default
         assert_eq!(paper.days, 0);
         let mut junk = paper;
-        junk.sessions = 999;
-        junk.granted_allowance_fp = 123_456;
-        junk.hour_ul_fp[5] = 789;
+        junk.scenario.sessions = 999;
+        junk.scenario.granted_fp = 123_456;
+        junk.scenario.hour_ul_fp[5] = 789;
         let mut a = FleetDigest::empty();
         a.observe(&paper);
         let mut b = FleetDigest::empty();
@@ -1337,7 +1216,7 @@ mod tests {
         for i in 0..200u32 {
             digest.observe(&synthetic_report(i));
         }
-        // Isolated homes (index % 5 == 0) never land in a cell.
+        // Private-3G homes (index % 5 == 0) never land in a cell.
         assert_eq!(digest.homes.iter().sum::<u64>(), 160);
         assert_eq!(digest.homes[0], 0);
         // Byte totals match a direct sum over the coupled reports.

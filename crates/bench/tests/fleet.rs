@@ -133,6 +133,11 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
     assert!(day_dl > 0.0 && day_ul > 0.0, "traced street onloaded nothing");
     assert!((0.0..=1.0).contains(&s.captured_fraction()));
     assert!(reference.render().contains("scenario:"), "render omits the scenario lines");
+    assert_eq!(
+        format!("{:016x}", reference.digest()),
+        "5daed0ce8811ec0a",
+        "traced 24-home 3-day digest drifted from the recorded baseline"
+    );
 
     // A different seed is a different street.
     let reseeded = Pool::with(4, |pool| {

@@ -22,6 +22,11 @@ fn coupled_digest_is_identical_across_workers_and_chunks() {
     let baseline = coupled(600, 1, 64, &config);
     assert_eq!(baseline.passes, 2);
     assert!(!baseline.converged);
+    assert_eq!(
+        format!("{:016x}", baseline.digest.digest()),
+        "5120c480c02747c5",
+        "coupled 600-home two-pass digest drifted from the recorded baseline"
+    );
 
     for (workers, chunk) in [(4, 64), (7, 23), (1, 23)] {
         let other = coupled(600, workers, chunk, &config);

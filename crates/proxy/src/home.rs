@@ -10,9 +10,10 @@
 //! * [`HomeNet`] gives each home its own `10.x.y.0/24`-style address
 //!   namespace, so any number of homes coexist in one runtime without
 //!   colliding and a captured address is attributable to its home;
-//! * [`HomeSpec`] bundles the link profiles (shared ADSL buckets,
-//!   shared Wi-Fi medium, per-phone 3G rates, 3GOL allowance) and the
-//!   workload (VoD prebuffer + concurrent photo upload);
+//! * [`HomeSpec`] holds what varies between homes — the ADSL tier,
+//!   the phone count, their 3G rate curve, the hour and the scenario;
+//!   the Wi-Fi medium, the 3GOL allowance and the VoD prebuffer +
+//!   photo-upload workload are the same in every home;
 //! * [`Home::run`] spins up the origin, the device proxies (with
 //!   discovery announcers), and the client-side HLS proxy, drives the
 //!   workload, and reports the per-home speedups over ADSL alone.
@@ -35,8 +36,9 @@ use tokio::time::Instant;
 use threegol_hls::{MediaPlaylist, VideoQuality};
 use threegol_http::codec::HttpStream;
 use threegol_http::{HttpError, Request};
+use threegol_traces::scenario::ScenarioConfig;
 
-use crate::capacity::{CapacitySource, CellProfile, G3Source};
+use crate::capacity::{CellProfile, NO_CELL};
 use crate::client::{PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
 use crate::discovery::Discovery;
@@ -92,15 +94,30 @@ impl HomeNet {
 
     /// Device proxy `i`'s LAN listener: `.(10 + i):3128`.
     pub fn device(&self, i: usize) -> SocketAddr {
-        assert!(i < 246, "at most 245 devices per home");
+        assert!(i < MAX_DEVICES, "at most {MAX_DEVICES} devices per home, got device {i}");
         SocketAddr::new(self.host(10 + i as u8), 3128)
     }
 }
 
-/// The cell index a [`HomeReport`] carries when the home's 3G is
-/// private ([`G3Source::Isolated`]): the all-ones sentinel, never a
-/// valid cell.
-pub const NO_CELL: u32 = u32::MAX;
+/// Most phones one home holds: device `i` lives at `.(10 + i)`, so
+/// `.10`–`.254` keeps the `.255` broadcast address free.
+const MAX_DEVICES: usize = 245;
+
+/// The Wi-Fi medium, bits/s — one shared bucket every connection in a
+/// home crosses, both directions.
+pub(crate) const WIFI_BPS: f64 = 30e6;
+/// Each phone's 3GOL allowance `A(0)` in the paper script, bytes.
+const ALLOWANCE_BYTES: f64 = 50e6;
+/// VoD bitrate, bits/s.
+pub(crate) const VIDEO_BPS: f64 = 400e3;
+/// VoD duration to prebuffer, seconds.
+pub(crate) const VIDEO_SECS: f64 = 10.0;
+/// HLS segment duration, seconds.
+pub(crate) const SEGMENT_SECS: f64 = 2.0;
+/// Photos in the paper script's upload batch.
+const PHOTOS: usize = 3;
+/// Bytes per photo.
+pub(crate) const PHOTO_BYTES: usize = 100_000;
 
 /// Longest scenario a [`HomeReport`] can account per-day: five weeks,
 /// enough to cross one 30-day billing-month boundary with margin. The
@@ -123,6 +140,123 @@ pub fn bytes_to_fp(bytes: f64) -> i64 {
 /// Fixed point at [`SCENARIO_FP_SCALE`] → bytes.
 pub fn fp_to_bytes(fp: i64) -> f64 {
     fp as f64 / SCENARIO_FP_SCALE
+}
+
+/// The tally of a [`Scenario::Traced`] run (DESIGN.md §14): per-day and
+/// per-hour onloaded bytes in `i64` fixed point at
+/// [`SCENARIO_FP_SCALE`], session counters, and the live allowance
+/// loop's overrun/grant tallies.
+///
+/// One type serves both ends: a traced [`HomeReport`] carries one home's
+/// tally (`homes == 1`), and the fleet digest merges those tallies into
+/// a street's. All integers, so `merge` is element-wise addition —
+/// associative to the last bit, keeping the fleet's determinism
+/// contract for scenario fleets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScenarioDigest {
+    /// Traced homes folded in.
+    pub homes: u64,
+    /// Simulated device-days (`devices × days` per home).
+    pub device_days: u64,
+    /// Device-days that ended with a positive granted allowance fully
+    /// exhausted — the live-estimator overrun counter.
+    pub overrun_device_days: u64,
+    /// VoD + upload sessions executed.
+    pub sessions: u64,
+    /// Sessions that ran ADSL-only (no admissible 3G path at session
+    /// start: every phone away, exhausted, or the home has none).
+    pub adsl_only_sessions: u64,
+    /// Daily allowance granted, summed over device-days, fixed-point
+    /// bytes.
+    pub granted_fp: i64,
+    /// Allowance actually consumed (`min(used, granted)` per
+    /// device-day), fixed-point bytes — captured-fraction numerator.
+    pub used_fp: i64,
+    /// Downlink onload (3G path bytes toward the home) per scenario
+    /// day, fixed-point bytes.
+    pub day_dl_fp: [i64; MAX_SCENARIO_DAYS],
+    /// Uplink onload per scenario day, fixed-point bytes.
+    pub day_ul_fp: [i64; MAX_SCENARIO_DAYS],
+    /// Downlink onload per hour of day (all days folded), fixed-point
+    /// bytes.
+    pub hour_dl_fp: [i64; 24],
+    /// Uplink onload per hour of day, fixed-point bytes.
+    pub hour_ul_fp: [i64; 24],
+}
+
+impl ScenarioDigest {
+    /// The identity tally: no traced homes, no bytes.
+    pub fn empty() -> ScenarioDigest {
+        ScenarioDigest {
+            homes: 0,
+            device_days: 0,
+            overrun_device_days: 0,
+            sessions: 0,
+            adsl_only_sessions: 0,
+            granted_fp: 0,
+            used_fp: 0,
+            day_dl_fp: [0; MAX_SCENARIO_DAYS],
+            day_ul_fp: [0; MAX_SCENARIO_DAYS],
+            hour_dl_fp: [0; 24],
+            hour_ul_fp: [0; 24],
+        }
+    }
+
+    /// Fold another tally in: element-wise integer adds, exact and
+    /// associative.
+    pub fn merge(&mut self, other: &ScenarioDigest) {
+        self.homes += other.homes;
+        self.device_days += other.device_days;
+        self.overrun_device_days += other.overrun_device_days;
+        self.sessions += other.sessions;
+        self.adsl_only_sessions += other.adsl_only_sessions;
+        self.granted_fp += other.granted_fp;
+        self.used_fp += other.used_fp;
+        for (mine, theirs) in [
+            (&mut self.day_dl_fp[..], &other.day_dl_fp[..]),
+            (&mut self.day_ul_fp[..], &other.day_ul_fp[..]),
+            (&mut self.hour_dl_fp[..], &other.hour_dl_fp[..]),
+            (&mut self.hour_ul_fp[..], &other.hour_ul_fp[..]),
+        ] {
+            for (m, t) in mine.iter_mut().zip(theirs) {
+                *m += t;
+            }
+        }
+    }
+
+    /// Onloaded bytes on scenario day `day`, `(down, up)`.
+    pub fn bytes_on_day(&self, day: usize) -> (f64, f64) {
+        (fp_to_bytes(self.day_dl_fp[day]), fp_to_bytes(self.day_ul_fp[day]))
+    }
+
+    /// Onloaded bytes at hour of day `hour`, `(down, up)`.
+    pub fn bytes_at_hour(&self, hour: usize) -> (f64, f64) {
+        (fp_to_bytes(self.hour_dl_fp[hour % 24]), fp_to_bytes(self.hour_ul_fp[hour % 24]))
+    }
+
+    /// Fraction of device-days with a positive allowance fully
+    /// exhausted — the live overrun rate the §6 estimator design
+    /// targets at "under one day per month" (≈ 0.033).
+    pub fn overrun_rate(&self) -> f64 {
+        if self.device_days == 0 {
+            return 0.0;
+        }
+        self.overrun_device_days as f64 / self.device_days as f64
+    }
+
+    /// Fraction of the granted allowance the workload actually
+    /// consumed (`Σ min(used, granted) / Σ granted`).
+    pub fn captured_fraction(&self) -> f64 {
+        if self.granted_fp == 0 {
+            return 0.0;
+        }
+        self.used_fp as f64 / self.granted_fp as f64
+    }
+
+    /// Total allowance granted across device-days, bytes.
+    pub fn granted_bytes(&self) -> f64 {
+        fp_to_bytes(self.granted_fp)
+    }
 }
 
 /// How a home's workload is driven (DESIGN.md §14).
@@ -194,7 +328,9 @@ impl Tier {
     }
 }
 
-/// Link profiles and workload for one home.
+/// What varies between homes: the line, the phones, their 3G, the
+/// hour, and how the workload is driven. The Wi-Fi medium, the
+/// allowance and the VoD + photo workload are the same in every home.
 ///
 /// Plain `Copy` data only — the spec costs nothing to build from an
 /// index on a worker's stack, and a million-home fleet never needs to
@@ -209,7 +345,7 @@ impl Tier {
 ///     .cell(CellProfile::flat(2, 1.5e6, 0.8e6))
 ///     .hour(21)
 ///     .index(42);
-/// assert_eq!(home.adsl_down_bps, 6e6);
+/// assert_eq!(home.tier.adsl_down_bps(), 6e6);
 /// assert_eq!(home.index, 42);
 /// let copy = home; // still Copy
 /// assert_eq!(copy, home);
@@ -218,15 +354,14 @@ impl Tier {
 pub struct HomeSpec {
     /// Home index (selects the [`HomeNet`] namespace, modulo 2^16).
     pub index: u32,
-    /// Number of device proxies (phones with quota).
+    /// Number of device proxies (phones with quota), at most 245.
     pub devices: usize,
-    /// ADSL downlink, bits/s — one shared bucket for the whole home.
-    pub adsl_down_bps: f64,
-    /// ADSL uplink, bits/s — one shared bucket for the whole home.
-    pub adsl_up_bps: f64,
-    /// Where the phones' 3G capacity comes from: private rates or a
-    /// per-phone share of a shared cell (see [`G3Source`]).
-    pub g3: G3Source,
+    /// The ADSL line: one shared downlink and one shared uplink bucket
+    /// for the whole home, at the tier's rates.
+    pub tier: Tier,
+    /// Each phone's 3G rates by hour of day: a flat private pipe on
+    /// [`NO_CELL`] or a per-phone share of a shared cell.
+    pub g3: CellProfile,
     /// Hour of day `[0, 24)` the run *starts* at. The paper-default
     /// script runs entirely at this hour (it samples the cell share
     /// here and buckets the home's onloaded bytes in the fleet digest);
@@ -234,48 +369,26 @@ pub struct HomeSpec {
     /// and advances the hour from the virtual clock as simulated days
     /// pass.
     pub hour: u8,
-    /// The Wi-Fi medium, bits/s — one shared bucket every connection
-    /// in the home crosses, both directions.
-    pub wifi_bps: f64,
-    /// Each phone's 3GOL allowance `A(0)`, bytes.
-    pub allowance_bytes: f64,
-    /// VoD bitrate, bits/s.
-    pub video_bps: f64,
-    /// VoD duration to prebuffer, seconds.
-    pub video_secs: f64,
-    /// HLS segment duration, seconds.
-    pub segment_secs: f64,
-    /// Photos in the concurrent upload batch.
-    pub photos: usize,
-    /// Bytes per photo.
-    pub photo_bytes: usize,
     /// How the workload is driven: the fixed paper script or a traced
     /// multi-day scenario.
     pub scenario: Scenario,
 }
 
 impl HomeSpec {
-    /// Start building a spec from an ADSL tier: the tier's line speeds
-    /// plus the paper-flavoured defaults — two phones on private
-    /// 2/1 Mbit/s 3G, 30 Mbit/s Wi-Fi, a 10 s × 400 kbit/s VoD
-    /// prebuffer racing a 3 × 100 kB photo upload, index 0, noon.
-    /// Chain [`HomeSpec::index`], [`HomeSpec::devices`],
-    /// [`HomeSpec::cell`] and [`HomeSpec::hour`] to finish.
+    /// Start building a spec from an ADSL tier with the
+    /// paper-flavoured defaults — two phones on private 2/1 Mbit/s 3G,
+    /// index 0, noon, the paper script (a 10 s × 400 kbit/s VoD
+    /// prebuffer racing a 3 × 100 kB photo upload over 30 Mbit/s
+    /// Wi-Fi). Chain [`HomeSpec::index`], [`HomeSpec::devices`],
+    /// [`HomeSpec::cell`], [`HomeSpec::hour`] and
+    /// [`HomeSpec::scenario`] to finish.
     pub fn tier(tier: Tier) -> HomeSpec {
         HomeSpec {
             index: 0,
             devices: 2,
-            adsl_down_bps: tier.adsl_down_bps(),
-            adsl_up_bps: tier.adsl_up_bps(),
-            g3: G3Source::isolated(2e6, 1e6),
+            tier,
+            g3: CellProfile::flat(NO_CELL, 2e6, 1e6),
             hour: 12,
-            wifi_bps: 30e6,
-            allowance_bytes: 50e6,
-            video_bps: 400e3,
-            video_secs: 10.0,
-            segment_secs: 2.0,
-            photos: 3,
-            photo_bytes: 100_000,
             scenario: Scenario::PaperDefault,
         }
     }
@@ -292,15 +405,17 @@ impl HomeSpec {
         self
     }
 
-    /// Set the number of phones.
+    /// Set the number of phones, at most 245 (one per host address
+    /// `.10`–`.254` of the home's subnet).
     pub fn devices(mut self, devices: usize) -> HomeSpec {
+        assert!(devices <= MAX_DEVICES, "at most {MAX_DEVICES} devices per home, got {devices}");
         self.devices = devices;
         self
     }
 
     /// Draw the phones' 3G from a shared cell's per-phone share.
     pub fn cell(mut self, profile: CellProfile) -> HomeSpec {
-        self.g3 = G3Source::Cell(profile);
+        self.g3 = profile;
         self
     }
 
@@ -360,35 +475,12 @@ pub struct HomeReport {
     /// Upload bytes moved by aborted duplicates.
     pub upload_wasted_bytes: f64,
     /// Simulated days a [`Scenario::Traced`] run covered; 0 for the
-    /// paper-default script (every field below is then zero too, and
-    /// the fleet digest skips them so paper-default digests are
+    /// paper-default script (`scenario` is then empty too, and the
+    /// fleet digest skips it so paper-default digests are
     /// byte-identical to the pre-scenario prototype's).
     pub days: u16,
-    /// VoD + upload sessions the scenario executed.
-    pub sessions: u32,
-    /// Sessions that ran ADSL-only (no admissible 3G path at session
-    /// start: every phone away, exhausted, or the home has none).
-    pub adsl_only_sessions: u32,
-    /// Device-days that ended with a positive granted allowance fully
-    /// exhausted — the live-estimator overrun counter.
-    pub overrun_device_days: u32,
-    /// Device-days simulated (`devices × days`).
-    pub device_days: u32,
-    /// Daily allowance granted, summed over device-days, fixed-point
-    /// bytes at [`SCENARIO_FP_SCALE`].
-    pub granted_allowance_fp: i64,
-    /// Allowance actually consumed (`min(used, granted)` per
-    /// device-day), fixed-point bytes — captured-fraction numerator.
-    pub used_allowance_fp: i64,
-    /// Downlink onload (3G path bytes toward the home) per scenario
-    /// day, fixed-point bytes.
-    pub day_dl_fp: [i64; MAX_SCENARIO_DAYS],
-    /// Uplink onload per scenario day, fixed-point bytes.
-    pub day_ul_fp: [i64; MAX_SCENARIO_DAYS],
-    /// Downlink onload per hour of day (all days folded), fixed-point.
-    pub hour_dl_fp: [i64; 24],
-    /// Uplink onload per hour of day, fixed-point.
-    pub hour_ul_fp: [i64; 24],
+    /// The traced run's tally, with `homes == 1`.
+    pub scenario: ScenarioDigest,
 }
 
 impl HomeReport {
@@ -410,16 +502,7 @@ impl HomeReport {
             upload_device_bytes: 0.0,
             upload_wasted_bytes: 0.0,
             days: 0,
-            sessions: 0,
-            adsl_only_sessions: 0,
-            overrun_device_days: 0,
-            device_days: 0,
-            granted_allowance_fp: 0,
-            used_allowance_fp: 0,
-            day_dl_fp: [0; MAX_SCENARIO_DAYS],
-            day_ul_fp: [0; MAX_SCENARIO_DAYS],
-            hour_dl_fp: [0; 24],
-            hour_ul_fp: [0; 24],
+            scenario: ScenarioDigest::empty(),
         }
     }
 }
@@ -439,7 +522,9 @@ impl Home {
     pub async fn run(spec: &HomeSpec) -> Result<HomeReport, HttpError> {
         match spec.scenario {
             Scenario::PaperDefault => Home::run_paper(spec).await,
-            Scenario::Traced { days, seed } => crate::scenario::run_traced(spec, days, seed).await,
+            Scenario::Traced { seed, .. } => {
+                crate::scenario::run_with_config(spec, &ScenarioConfig::paper(seed)).await
+            }
         }
     }
 
@@ -448,8 +533,8 @@ impl Home {
         let net = HomeNet::new((spec.index % (1 << 16)) as u16);
 
         // Origin, behind the home's view of the WAN.
-        let ladder = vec![VideoQuality::new("Q1", spec.video_bps)];
-        let origin = Arc::new(OriginServer::new(&ladder, spec.video_secs, spec.segment_secs));
+        let ladder = vec![VideoQuality::new("Q1", VIDEO_BPS)];
+        let origin = Arc::new(OriginServer::new(&ladder, VIDEO_SECS, SEGMENT_SECS));
         let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
 
         // The home's broadcast domain: a discovery listener the
@@ -467,7 +552,7 @@ impl Home {
                 origin_addr,
                 g3_down,
                 g3_up,
-                spec.allowance_bytes,
+                ALLOWANCE_BYTES,
             ));
             let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
             device.spawn_announcer(discovery_addr, lan_addr, Duration::from_millis(100));
@@ -480,9 +565,9 @@ impl Home {
         }
 
         // The home's shared media.
-        let wifi = SharedRateLimit::from_bps(spec.wifi_bps as u64);
-        let adsl_down = SharedRateLimit::from_bps(spec.adsl_down_bps as u64);
-        let adsl_up = SharedRateLimit::from_bps(spec.adsl_up_bps as u64);
+        let wifi = SharedRateLimit::from_bps(WIFI_BPS as u64);
+        let adsl_down = SharedRateLimit::from_bps(spec.tier.adsl_down_bps() as u64);
+        let adsl_up = SharedRateLimit::from_bps(spec.tier.adsl_up_bps() as u64);
         let make_paths = || -> Vec<PathTarget> {
             let mut paths = vec![PathTarget::SharedGateway {
                 origin: origin_addr,
@@ -509,10 +594,8 @@ impl Home {
 
         // Drive the two transactions concurrently: the upload runs as
         // its own task while this task plays the VoD prebuffer.
-        let photos: Vec<(String, Bytes)> = (0..spec.photos)
-            .map(|i| {
-                (format!("home{}-IMG_{i:04}.jpg", spec.index), photo_body(i, spec.photo_bytes))
-            })
+        let photos: Vec<(String, Bytes)> = (0..PHOTOS)
+            .map(|i| (format!("home{}-IMG_{i:04}.jpg", spec.index), photo_body(i)))
             .collect();
         let upload_bytes: f64 = photos.iter().map(|(_, d)| d.len() as f64).sum();
         let upload_task = tokio::spawn(async move {
@@ -536,10 +619,10 @@ impl Home {
 
         // Gains against the home's ADSL line carrying the same bytes
         // alone (the paper's "power boost" ratio).
-        let vod_baseline = vod_bytes * 8.0 / spec.adsl_down_bps;
-        let upload_baseline = upload_bytes * 8.0 / spec.adsl_up_bps;
+        let vod_baseline = vod_bytes * 8.0 / spec.tier.adsl_down_bps();
+        let upload_baseline = upload_bytes * 8.0 / spec.tier.adsl_up_bps();
         Ok(HomeReport {
-            cell: spec.g3.cell().unwrap_or(NO_CELL),
+            cell: spec.g3.cell,
             hour: spec.hour,
             vod_bytes,
             vod_secs,
@@ -555,29 +638,29 @@ impl Home {
     }
 }
 
-/// Play the prebuffer phase of a VoD session against the home's HLS
-/// proxy: fetch the media playlist, then every segment in order (the
-/// proxy serves them from its multipath prefetch as they land).
-/// Returns the total segment bytes received.
-/// Deterministic filler body for photo `i`, shared process-wide: every
-/// home with the same photo size uploads views of one allocation
-/// instead of re-filling `photo_bytes` per photo per home (the upload
-/// path never mutates its payload — multipart encoding copies it into
-/// the request body).
-pub(crate) fn photo_body(i: usize, photo_bytes: usize) -> Bytes {
+/// Deterministic [`PHOTO_BYTES`] filler body for photo `i`, shared
+/// process-wide: every home uploads views of one allocation instead of
+/// re-filling the body per photo per home (the upload path never
+/// mutates its payload — multipart encoding copies it into the request
+/// body).
+pub(crate) fn photo_body(i: usize) -> Bytes {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<(usize, usize), Bytes>>> = OnceLock::new();
+    static CACHE: OnceLock<Mutex<HashMap<usize, Bytes>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     Bytes::clone(
         cache
             .lock()
             .unwrap()
-            .entry((i, photo_bytes))
-            .or_insert_with(|| Bytes::from(vec![(i % 251) as u8; photo_bytes])),
+            .entry(i)
+            .or_insert_with(|| Bytes::from(vec![(i % 251) as u8; PHOTO_BYTES])),
     )
 }
 
+/// Play the prebuffer phase of a VoD session against the home's HLS
+/// proxy: fetch the media playlist, then every segment in order (the
+/// proxy serves them from its multipath prefetch as they land).
+/// Returns the total segment bytes received.
 async fn prebuffer_vod(proxy_addr: SocketAddr, playlist: &str) -> Result<f64, HttpError> {
     let stream = TcpStream::connect(proxy_addr).await.map_err(HttpError::Io)?;
     let mut http = HttpStream::new(stream);
@@ -617,7 +700,15 @@ mod tests {
         assert_eq!(b.origin().to_string(), "10.0.1.1:8080");
         assert_eq!(c.origin().to_string(), "10.1.0.1:8080");
         assert_eq!(b.device(3).to_string(), "10.0.1.13:3128");
+        assert_eq!(b.device(244).to_string(), "10.0.1.254:3128");
         assert_ne!(a.discovery(), b.discovery());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 245 devices per home")]
+    fn a_spec_with_more_phones_than_host_addresses_is_rejected() {
+        // Device 245 would sit on the subnet's .255 broadcast address.
+        let _ = HomeSpec::paper_default(0).devices(246);
     }
 
     #[tokio::test]
@@ -656,8 +747,8 @@ mod tests {
         assert_eq!((a.cell, a.hour), (4, 4));
         assert_eq!((b.cell, b.hour), (4, 19));
         assert!(a.upload_secs < b.upload_secs, "{} !< {}", a.upload_secs, b.upload_secs);
-        // The paper-default isolated home matches the equal-rate cell
-        // share bit for bit: the seam changed, the physics did not.
+        // Private 3G is the same flat curve on no cell: the reported
+        // cell and hour differ, the physics does not, bit for bit.
         let isolated = run(HomeSpec::paper_default(21));
         assert_eq!(isolated.upload_secs, a.upload_secs);
         assert_eq!(isolated.vod_secs, a.vod_secs);

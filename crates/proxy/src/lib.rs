@@ -18,12 +18,12 @@
 //!   substitution for real access links; rates are taken from the same
 //!   location profiles the simulator uses); [`throttle::SharedRateLimit`]
 //!   makes a bucket a shared medium several streams contend for;
-//! * [`capacity::CapacitySource`] — the seam between a home and
-//!   whatever provides its 3G: private per-phone rates
-//!   ([`capacity::Isolated`]) or a per-phone share of a shared cell
-//!   ([`capacity::CellProfile`]), folded into the `Copy`
-//!   [`home::HomeSpec`] so a whole fleet can couple through shared
-//!   cells without sharing mutable state;
+//! * [`capacity::CellProfile`] — a home's 3G as one per-phone rate
+//!   curve over the day: flat for a private pipe
+//!   ([`capacity::NO_CELL`]), a per-phone share for a shared cell.
+//!   It is `Copy` data inside the `Copy` [`home::HomeSpec`], so a
+//!   whole fleet can couple through shared cells without sharing
+//!   mutable state;
 //! * [`origin::OriginServer`] — serves generated HLS playlists and
 //!   segments, accepts multipart photo uploads, and serves the 2 MB
 //!   probe files of §3;
@@ -43,7 +43,8 @@
 //!   ADSL alone — either the fixed VoD + photo-upload script
 //!   ([`home::Scenario::PaperDefault`]) or a trace-driven multi-day
 //!   scenario with device churn and the live §6 allowance loop
-//!   ([`home::Scenario::Traced`], run by [`scenario`]).
+//!   ([`home::Scenario::Traced`], run by [`scenario`], tallied in a
+//!   [`home::ScenarioDigest`] that a fleet digest merges as is).
 
 #![warn(missing_docs)]
 
@@ -57,14 +58,14 @@ pub mod origin;
 pub mod scenario;
 pub mod throttle;
 
-pub use capacity::{CapacitySource, CellProfile, G3Source, Isolated};
+pub use capacity::{CellProfile, NO_CELL};
 pub use client::{PathTarget, ThreegolClient, TransferReport};
 pub use device::DeviceProxy;
 pub use discovery::{Advertisement, Discovery};
 pub use hlsproxy::HlsProxy;
 pub use home::{
-    bytes_to_fp, fp_to_bytes, Home, HomeNet, HomeReport, HomeSpec, Scenario, Tier,
-    MAX_SCENARIO_DAYS, NO_CELL, SCENARIO_FP_SCALE,
+    bytes_to_fp, fp_to_bytes, Home, HomeNet, HomeReport, HomeSpec, Scenario, ScenarioDigest, Tier,
+    MAX_SCENARIO_DAYS, SCENARIO_FP_SCALE,
 };
 pub use origin::OriginServer;
 pub use throttle::{RateLimit, SharedRateLimit, ThrottledStream};

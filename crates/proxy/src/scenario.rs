@@ -38,27 +38,17 @@ use threegol_hls::VideoQuality;
 use threegol_http::HttpError;
 use threegol_traces::scenario::{device_free_history, home_day, HomeEvent, ScenarioConfig};
 
-use crate::capacity::CapacitySource;
 use crate::client::{PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
 use crate::discovery::{Advertisement, Announcer, Discovery};
 use crate::home::{
-    bytes_to_fp, photo_body, HomeNet, HomeReport, HomeSpec, MAX_SCENARIO_DAYS, NO_CELL,
+    bytes_to_fp, photo_body, HomeNet, HomeReport, HomeSpec, Scenario, MAX_SCENARIO_DAYS,
+    SEGMENT_SECS, VIDEO_BPS, VIDEO_SECS, WIFI_BPS,
 };
 use crate::origin::OriginServer;
 use crate::throttle::SharedRateLimit;
 
 const DAY_SECS: f64 = 86_400.0;
-
-/// Entry point for [`crate::Scenario::Traced`]: the paper-flavored
-/// [`ScenarioConfig`] at `seed`.
-pub(crate) async fn run_traced(
-    spec: &HomeSpec,
-    days: u16,
-    seed: u64,
-) -> Result<HomeReport, HttpError> {
-    run_with_config(spec, days, &ScenarioConfig::paper(seed)).await
-}
 
 /// Advance the virtual clock to `offset_secs` past `epoch` (no-op if
 /// already there — day-0 events before the start hour are skipped by
@@ -75,19 +65,22 @@ async fn advance_to(epoch: &Instant, offset_secs: f64) {
 /// fully exhausted. Called at every day boundary *before* the roll-over
 /// wipes the day's usage, and once more after the final day.
 fn close_device_day(report: &mut HomeReport, device: &DeviceProxy, granted: f64) {
-    report.used_allowance_fp += bytes_to_fp(device.used_bytes().min(granted));
+    report.scenario.used_fp += bytes_to_fp(device.used_bytes().min(granted));
     if granted > 0.0 && !device.should_advertise() {
-        report.overrun_device_days += 1;
+        report.scenario.overrun_device_days += 1;
     }
 }
 
-/// Run a traced scenario with an explicit config (tests tighten the
-/// churn and allowance knobs; `fleet --scenario` uses the default).
+/// Run a [`Scenario::Traced`] spec for its `days` with an explicit
+/// config ([`crate::Home::run`] uses [`ScenarioConfig::paper`] at the
+/// spec's seed; tests tighten the churn and allowance knobs).
 pub async fn run_with_config(
     spec: &HomeSpec,
-    days: u16,
     config: &ScenarioConfig,
 ) -> Result<HomeReport, HttpError> {
+    let Scenario::Traced { days, .. } = spec.scenario else {
+        panic!("run_with_config needs a traced scenario, got {:?}", spec.scenario)
+    };
     assert!(
         (1..=MAX_SCENARIO_DAYS as u16).contains(&days),
         "scenario must run 1..={MAX_SCENARIO_DAYS} days, got {days}"
@@ -95,8 +88,8 @@ pub async fn run_with_config(
     let net = HomeNet::new((spec.index % (1 << 16)) as u16);
 
     // Origin and discovery, exactly like the paper script.
-    let ladder = vec![VideoQuality::new("Q1", spec.video_bps)];
-    let origin = Arc::new(OriginServer::new(&ladder, spec.video_secs, spec.segment_secs));
+    let ladder = vec![VideoQuality::new("Q1", VIDEO_BPS)];
+    let origin = Arc::new(OriginServer::new(&ladder, VIDEO_SECS, SEGMENT_SECS));
     let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
     let discovery = Discovery::bind(&net.discovery().to_string()).await?;
     let discovery_addr = discovery.local_addr()?;
@@ -134,15 +127,16 @@ pub async fn run_with_config(
 
     // The home's shared media (one pair of ADSL buckets, one Wi-Fi
     // medium for the whole run — links persist across days).
-    let wifi = SharedRateLimit::from_bps(spec.wifi_bps as u64);
-    let adsl_down = SharedRateLimit::from_bps(spec.adsl_down_bps as u64);
-    let adsl_up = SharedRateLimit::from_bps(spec.adsl_up_bps as u64);
+    let wifi = SharedRateLimit::from_bps(WIFI_BPS as u64);
+    let adsl_down = SharedRateLimit::from_bps(spec.tier.adsl_down_bps() as u64);
+    let adsl_up = SharedRateLimit::from_bps(spec.tier.adsl_up_bps() as u64);
 
     let mut report = HomeReport::empty(spec.index);
-    report.cell = spec.g3.cell().unwrap_or(NO_CELL);
+    report.cell = spec.g3.cell;
     report.hour = spec.hour;
     report.days = days;
-    report.device_days = spec.devices as u32 * days as u32;
+    report.scenario.homes = 1;
+    report.scenario.device_days = spec.devices as u64 * days as u64;
 
     // Virtual t = 0 is `spec.hour` o'clock of day 0: local time of
     // virtual offset `t` is `spec.hour·3600 + t`, so scenarios advance
@@ -152,7 +146,7 @@ pub async fn run_with_config(
 
     let mut present = vec![true; spec.devices];
     let mut granted_today: Vec<f64> = allowances.iter().map(|a| a.daily_allowance()).collect();
-    report.granted_allowance_fp += granted_today.iter().map(|&g| bytes_to_fp(g)).sum::<i64>();
+    report.scenario.granted_fp += granted_today.iter().map(|&g| bytes_to_fp(g)).sum::<i64>();
     let mut month_cursor = 0usize;
     let mut vod_baseline_secs = 0.0;
     let mut upload_baseline_secs = 0.0;
@@ -170,7 +164,7 @@ pub async fn run_with_config(
                     allowances[i].finish_month(future_months[i][month_cursor]);
                 }
                 granted_today[i] = allowances[i].daily_allowance();
-                report.granted_allowance_fp += bytes_to_fp(granted_today[i]);
+                report.scenario.granted_fp += bytes_to_fp(granted_today[i]);
                 devices[i].roll_over(granted_today[i]);
             }
             if month_end {
@@ -203,9 +197,9 @@ pub async fn run_with_config(
                         &discovery,
                     )
                     .await;
-                    report.sessions += 1;
+                    report.scenario.sessions += 1;
                     if paths.len() == 1 {
-                        report.adsl_only_sessions += 1;
+                        report.scenario.adsl_only_sessions += 1;
                     }
                     let client = ThreegolClient::new(paths).with_wifi(wifi.clone());
                     let t0 = Instant::now();
@@ -214,11 +208,11 @@ pub async fn run_with_config(
                     let bytes: f64 = bodies.iter().map(|b| b.len() as f64).sum();
                     report.vod_bytes += bytes;
                     report.vod_secs += secs;
-                    vod_baseline_secs += bytes * 8.0 / spec.adsl_down_bps;
+                    vod_baseline_secs += bytes * 8.0 / spec.tier.adsl_down_bps();
                     let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
                     report.vod_device_bytes += onload;
-                    report.day_dl_fp[day_idx] += bytes_to_fp(onload);
-                    report.hour_dl_fp[hour_idx] += bytes_to_fp(onload);
+                    report.scenario.day_dl_fp[day_idx] += bytes_to_fp(onload);
+                    report.scenario.hour_dl_fp[hour_idx] += bytes_to_fp(onload);
                 }
                 HomeEvent::Upload { photos } => {
                     let day_idx = day as usize;
@@ -236,17 +230,14 @@ pub async fn run_with_config(
                         &discovery,
                     )
                     .await;
-                    report.sessions += 1;
+                    report.scenario.sessions += 1;
                     if paths.len() == 1 {
-                        report.adsl_only_sessions += 1;
+                        report.scenario.adsl_only_sessions += 1;
                     }
                     let client = ThreegolClient::new(paths).with_wifi(wifi.clone());
                     let batch: Vec<(String, Bytes)> = (0..photos)
                         .map(|i| {
-                            (
-                                format!("home{}-d{day}-IMG_{i:04}.jpg", spec.index),
-                                photo_body(i, spec.photo_bytes),
-                            )
+                            (format!("home{}-d{day}-IMG_{i:04}.jpg", spec.index), photo_body(i))
                         })
                         .collect();
                     let bytes: f64 = batch.iter().map(|(_, d)| d.len() as f64).sum();
@@ -255,12 +246,12 @@ pub async fn run_with_config(
                     let secs = t0.elapsed().as_secs_f64();
                     report.upload_bytes += bytes;
                     report.upload_secs += secs;
-                    upload_baseline_secs += bytes * 8.0 / spec.adsl_up_bps;
+                    upload_baseline_secs += bytes * 8.0 / spec.tier.adsl_up_bps();
                     let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
                     report.upload_device_bytes += onload;
                     report.upload_wasted_bytes += tr.wasted_bytes;
-                    report.day_ul_fp[day_idx] += bytes_to_fp(onload);
-                    report.hour_ul_fp[hour_idx] += bytes_to_fp(onload);
+                    report.scenario.day_ul_fp[day_idx] += bytes_to_fp(onload);
+                    report.scenario.hour_ul_fp[hour_idx] += bytes_to_fp(onload);
                 }
             }
         }
@@ -328,7 +319,7 @@ async fn session_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::home::{fp_to_bytes, Home, Scenario, Tier};
+    use crate::home::{fp_to_bytes, Home, ScenarioDigest, Tier};
     use crate::throttle::RateLimit;
     use threegol_http::codec::HttpStream;
     use threegol_http::Request;
@@ -346,18 +337,19 @@ mod tests {
             .scenario(Scenario::Traced { days: 7, seed: 0x3601 });
         let report = run_traced_home(spec);
         assert_eq!(report.days, 7);
-        assert_eq!(report.device_days, 14);
-        assert!(report.sessions > 0, "a week should schedule sessions");
+        assert_eq!(report.scenario.homes, 1);
+        assert_eq!(report.scenario.device_days, 14);
+        assert!(report.scenario.sessions > 0, "a week should schedule sessions");
         assert!(report.vod_bytes > 0.0 || report.upload_bytes > 0.0);
         // Onload accumulators tie out with the totals they bucket.
-        let day_dl: i64 = report.day_dl_fp.iter().sum();
-        let day_ul: i64 = report.day_ul_fp.iter().sum();
-        assert_eq!(day_dl, report.hour_dl_fp.iter().sum::<i64>());
-        assert_eq!(day_ul, report.hour_ul_fp.iter().sum::<i64>());
+        let day_dl: i64 = report.scenario.day_dl_fp.iter().sum();
+        let day_ul: i64 = report.scenario.day_ul_fp.iter().sum();
+        assert_eq!(day_dl, report.scenario.hour_dl_fp.iter().sum::<i64>());
+        assert_eq!(day_ul, report.scenario.hour_ul_fp.iter().sum::<i64>());
         assert!((fp_to_bytes(day_dl) - report.vod_device_bytes).abs() < 1.0);
         assert!((fp_to_bytes(day_ul) - report.upload_device_bytes).abs() < 1.0);
         // Consumption never exceeds what the live estimator granted.
-        assert!(report.used_allowance_fp <= report.granted_allowance_fp);
+        assert!(report.scenario.used_fp <= report.scenario.granted_fp);
         assert!(report.vod_gain.is_finite() && report.upload_gain.is_finite());
     }
 
@@ -380,9 +372,7 @@ mod tests {
         assert_eq!(spec.scenario, Scenario::PaperDefault);
         let a = tokio::runtime::block_on(Home::run(&spec)).unwrap();
         assert_eq!(a.days, 0);
-        assert_eq!(a.sessions, 0);
-        assert_eq!(a.granted_allowance_fp, 0);
-        assert!(a.day_dl_fp.iter().all(|&v| v == 0));
+        assert_eq!(a.scenario, ScenarioDigest::empty());
         assert_eq!(a.vod_bytes, 500_000.0);
     }
 
@@ -452,14 +442,14 @@ mod tests {
             .index(8)
             .hour(0)
             .scenario(Scenario::Traced { days: 2, seed: 42 });
-        let report = tokio::runtime::block_on(run_with_config(&spec, 2, &config)).unwrap();
-        assert!(report.sessions > 0);
-        assert_eq!(report.adsl_only_sessions, report.sessions);
+        let report = tokio::runtime::block_on(run_with_config(&spec, &config)).unwrap();
+        assert!(report.scenario.sessions > 0);
+        assert_eq!(report.scenario.adsl_only_sessions, report.scenario.sessions);
         assert_eq!(report.vod_device_bytes, 0.0);
         assert_eq!(report.upload_device_bytes, 0.0);
-        assert_eq!(report.granted_allowance_fp, 0);
+        assert_eq!(report.scenario.granted_fp, 0);
         // Zero granted allowance is absence, not overrun.
-        assert_eq!(report.overrun_device_days, 0);
+        assert_eq!(report.scenario.overrun_device_days, 0);
     }
 
     #[test]
@@ -472,13 +462,13 @@ mod tests {
             .devices(3)
             .hour(0)
             .scenario(Scenario::Traced { days: 5, seed: 0x3601 });
-        let report = tokio::runtime::block_on(run_with_config(&spec, 5, &config)).unwrap();
-        assert!(report.sessions > 0);
+        let report = tokio::runtime::block_on(run_with_config(&spec, &config)).unwrap();
+        assert!(report.scenario.sessions > 0);
         assert!(
             report.vod_device_bytes + report.upload_device_bytes > 0.0,
             "presence windows should still onload"
         );
-        let b = tokio::runtime::block_on(run_with_config(&spec, 5, &config)).unwrap();
+        let b = tokio::runtime::block_on(run_with_config(&spec, &config)).unwrap();
         assert_eq!(report, b, "churn must stay deterministic");
     }
 }
