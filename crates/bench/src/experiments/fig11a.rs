@@ -3,26 +3,20 @@
 //! 20 MB), driven by the DSLAM trace.
 
 use threegol_simnet::stats::Ecdf;
-use threegol_traces::analysis::{budgeted_speedup_per_user, BudgetModel};
+use threegol_traces::analysis::{budgeted_speedup, BudgetModel};
 use threegol_traces::dslam::{DslamTrace, DslamTraceConfig};
 
 use crate::experiment::{Experiment, Scale};
-use crate::util::Report;
+use crate::util::{subscriber_ranges, Report, Subscribers};
 
 /// The Fig 11a budgeted-speedup experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig11a;
 
-/// One unit: the whole DSLAM population.
-#[derive(Debug, Clone, Copy)]
-pub struct Unit {
-    /// Synthetic DSLAM population size at this scale.
-    pub n_users: usize,
-}
-
 impl Experiment for Fig11a {
-    type Unit = Unit;
-    type Partial = Report;
+    type Unit = Subscribers;
+    /// The speedup of each of the unit's video users, in id order.
+    type Partial = Vec<f64>;
 
     fn id(&self) -> &'static str {
         "fig11a"
@@ -32,18 +26,27 @@ impl Experiment for Fig11a {
         "Figure 11a"
     }
 
-    fn units(&self, scale: Scale) -> Vec<Unit> {
-        vec![Unit { n_users: ((18_000.0 * scale.get()) as usize).max(2_000) }]
+    fn units(&self, scale: Scale) -> Vec<Subscribers> {
+        subscriber_ranges(((18_000.0 * scale.get()) as usize).max(2_000))
     }
 
-    fn run_unit(&self, unit: &Unit) -> Report {
-        let trace = DslamTrace::generate(DslamTraceConfig {
-            n_users: unit.n_users,
-            ..DslamTraceConfig::default()
-        });
+    fn run_unit(&self, unit: &Subscribers) -> Vec<f64> {
+        let config = DslamTraceConfig { n_users: unit.population, ..DslamTraceConfig::default() };
         let model = BudgetModel::paper();
-        let ratios = budgeted_speedup_per_user(&trace, &model);
-        let ecdf = Ecdf::new(ratios);
+        let mut requests = Vec::new();
+        unit.ids
+            .clone()
+            .filter_map(|uid| {
+                DslamTrace::user_requests(&config, uid, &mut requests);
+                budgeted_speedup(&requests, &model)
+            })
+            .collect()
+    }
+
+    /// Concatenates the units' per-user ratios in user order: the same
+    /// ECDF as one whole-trace pass.
+    fn merge(&self, _scale: Scale, partials: Vec<Vec<f64>>) -> Report {
+        let ecdf = Ecdf::new(partials.concat());
         let rows = (0..=16).map(|i| {
             let x = 1.0 + i as f64 * 0.1;
             vec![format!("{x:.1}"), format!("{:.3}", ecdf.eval(x))]
@@ -72,10 +75,6 @@ impl Experiment for Fig11a {
                 ecdf.quantile(1.0) <= 2.65 && ecdf.quantile(0.0) >= 1.0 - 1e-9,
             )
             .finish()
-    }
-
-    fn merge(&self, _scale: Scale, mut partials: Vec<Report>) -> Report {
-        partials.pop().expect("one unit")
     }
 }
 

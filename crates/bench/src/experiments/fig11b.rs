@@ -2,26 +2,33 @@
 //! (5-minute bins), with and without the daily budget, against the
 //! covering backhaul capacity (2 towers × 40 Mbit/s).
 
-use threegol_traces::analysis::{cell_load, BudgetModel};
+use threegol_traces::analysis::{boosted_bin_adds, BinAdd, BudgetModel, CellLoad};
 use threegol_traces::dslam::{DslamTrace, DslamTraceConfig};
 
 use crate::experiment::{Experiment, Scale};
-use crate::util::Report;
+use crate::util::{subscriber_ranges, Report, Subscribers};
 
 /// The Fig 11b cell-load experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig11b;
 
-/// One unit: the whole DSLAM population.
-#[derive(Debug, Clone, Copy)]
-pub struct Unit {
-    /// Synthetic DSLAM population size at this scale.
-    pub n_users: usize,
+/// One unit's contribution to the load, in id order.
+#[derive(Debug, Clone, Default)]
+pub struct UnitLoad {
+    /// Subscribers with at least one video.
+    pub video_users: usize,
+    /// Every boosted request's bin adds, user by user.
+    pub adds: Vec<BinAdd>,
+}
+
+/// Synthetic DSLAM population size at `scale`.
+fn population(scale: Scale) -> usize {
+    ((18_000.0 * scale.get()) as usize).max(2_000)
 }
 
 impl Experiment for Fig11b {
-    type Unit = Unit;
-    type Partial = Report;
+    type Unit = Subscribers;
+    type Partial = UnitLoad;
 
     fn id(&self) -> &'static str {
         "fig11b"
@@ -31,23 +38,37 @@ impl Experiment for Fig11b {
         "Figure 11b"
     }
 
-    fn units(&self, scale: Scale) -> Vec<Unit> {
-        vec![Unit { n_users: ((18_000.0 * scale.get()) as usize).max(2_000) }]
+    fn units(&self, scale: Scale) -> Vec<Subscribers> {
+        subscriber_ranges(population(scale))
     }
 
-    /// Reported in 30-minute steps for readability; the computation
-    /// uses 5-minute bins as in the paper.
-    fn run_unit(&self, unit: &Unit) -> Report {
-        let trace = DslamTrace::generate(DslamTraceConfig {
-            n_users: unit.n_users,
-            ..DslamTraceConfig::default()
-        });
+    fn run_unit(&self, unit: &Subscribers) -> UnitLoad {
+        let config = DslamTraceConfig { n_users: unit.population, ..DslamTraceConfig::default() };
+        let model = BudgetModel::paper();
+        let mut requests = Vec::new();
+        let mut load = UnitLoad::default();
+        for uid in unit.ids.clone() {
+            DslamTrace::user_requests(&config, uid, &mut requests);
+            if !requests.is_empty() {
+                load.video_users += 1;
+                load.adds.extend(boosted_bin_adds(&requests, &model));
+            }
+        }
+        load
+    }
+
+    /// Replays the units' bin adds in user order: every bin takes the
+    /// same adds in the same order as one whole-trace pass, so the
+    /// load is the same bits. Reported in 30-minute steps for
+    /// readability; the computation uses 5-minute bins as in the paper.
+    fn merge(&self, scale: Scale, partials: Vec<UnitLoad>) -> Report {
         // Scale the per-user results to the full DSLAM population where
         // needed: loads are population-proportional, so compute on the
         // generated population and scale to 18 000 users.
-        let pop_scale = 18_000.0 / unit.n_users as f64;
-        let model = BudgetModel::paper();
-        let load = cell_load(&trace, &model, 2.0 * 40e6);
+        let pop_scale = 18_000.0 / population(scale) as f64;
+        let video_users = partials.iter().map(|p| p.video_users).sum();
+        let adds = partials.iter().flat_map(|p| p.adds.iter().copied());
+        let load = CellLoad::from_adds(video_users, adds, 2.0 * 40e6);
         let rows = (0..48).map(|i| {
             let bin = i * 6; // every 30 min
             let h = bin as f64 * 300.0 / 3600.0;
@@ -86,10 +107,6 @@ impl Experiment for Fig11b {
                 (mean_onloaded_mb - 29.78).abs() < 8.0,
             )
             .finish()
-    }
-
-    fn merge(&self, _scale: Scale, mut partials: Vec<Report>) -> Report {
-        partials.pop().expect("one unit")
     }
 }
 

@@ -3,25 +3,20 @@
 //! adopting 3GOL at 20 MB/day.
 
 use threegol_traces::analysis::adoption_increase;
-use threegol_traces::mno::{MnoConfig, MnoTrace};
+use threegol_traces::mno::{mean_per_user, MnoConfig, MnoTrace};
 
 use crate::experiment::{Experiment, Scale};
-use crate::util::Report;
+use crate::util::{subscriber_ranges, Report, Subscribers};
 
 /// The Fig 11c adoption-scaling experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig11c;
 
-/// One unit: the whole MNO population.
-#[derive(Debug, Clone, Copy)]
-pub struct Unit {
-    /// Synthetic MNO population size at this scale.
-    pub n_users: usize,
-}
-
 impl Experiment for Fig11c {
-    type Unit = Unit;
-    type Partial = Report;
+    type Unit = Subscribers;
+    /// The unit's subscribers' latest-month used volume, bytes, in id
+    /// order.
+    type Partial = Vec<f64>;
 
     fn id(&self) -> &'static str {
         "fig11c"
@@ -31,13 +26,22 @@ impl Experiment for Fig11c {
         "Figure 11c"
     }
 
-    fn units(&self, scale: Scale) -> Vec<Unit> {
-        vec![Unit { n_users: ((20_000.0 * scale.get()) as usize).max(2_000) }]
+    fn units(&self, scale: Scale) -> Vec<Subscribers> {
+        subscriber_ranges(((20_000.0 * scale.get()) as usize).max(2_000))
     }
 
-    fn run_unit(&self, unit: &Unit) -> Report {
-        let trace = MnoTrace::generate(MnoConfig { n_users: unit.n_users, ..MnoConfig::default() });
-        let mean_daily_used = trace.mean_used_bytes() / 30.0;
+    fn run_unit(&self, unit: &Subscribers) -> Vec<f64> {
+        let config = MnoConfig { n_users: unit.population, ..MnoConfig::default() };
+        unit.ids
+            .clone()
+            .map(|uid| MnoTrace::user(&config, uid as u64).latest_used_bytes())
+            .collect()
+    }
+
+    /// Averages the units' per-user values in user order: the same
+    /// mean, bit for bit, as one whole-trace pass.
+    fn merge(&self, _scale: Scale, partials: Vec<Vec<f64>>) -> Report {
+        let mean_daily_used = mean_per_user(partials.into_iter().flatten()) / 30.0;
         let budget = 20e6;
         let fractions: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
         let points = adoption_increase(mean_daily_used, budget, &fractions);
@@ -76,10 +80,6 @@ impl Experiment for Fig11c {
                 points[1].total_increase < 0.25,
             )
             .finish()
-    }
-
-    fn merge(&self, _scale: Scale, mut partials: Vec<Report>) -> Report {
-        partials.pop().expect("one unit")
     }
 }
 

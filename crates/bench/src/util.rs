@@ -1,5 +1,8 @@
 //! Report structure and text-table formatting shared by all
-//! reproduction experiments.
+//! reproduction experiments, and the subscriber-range split of the §6
+//! trace experiments.
+
+use std::ops::Range;
 
 /// One paper-versus-measured comparison.
 #[derive(Debug, Clone)]
@@ -196,6 +199,33 @@ pub fn reps(full: u64, scale: f64) -> u64 {
     ((full as f64 * scale).round() as u64).max(2)
 }
 
+/// Subscriber-range units per population pass of the §6 trace
+/// experiments (fig10, fig11a/b/c, est06). A constant, never the
+/// worker count: every unit covers the same subscribers on any pool,
+/// so the merged report is the same too.
+pub const TRACE_SHARDS: usize = 8;
+
+/// One unit of a §6 trace experiment: a contiguous range of
+/// subscribers of a synthetic population, each drawn alone from
+/// `(seed, id)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Subscribers {
+    /// Size of the whole population at this scale.
+    pub population: usize,
+    /// This unit's subscriber ids.
+    pub ids: Range<u32>,
+}
+
+/// Split a population of `population` subscribers into
+/// [`TRACE_SHARDS`] contiguous id ranges, in id order: merging the
+/// units' per-user partials in unit order visits users in id order.
+pub fn subscriber_ranges(population: usize) -> Vec<Subscribers> {
+    let edge = |shard: usize| (shard * population / TRACE_SHARDS) as u32;
+    (0..TRACE_SHARDS)
+        .map(|shard| Subscribers { population, ids: edge(shard)..edge(shard + 1) })
+        .collect()
+}
+
 /// Relative closeness check: |a/b − 1| ≤ tol.
 pub fn close(a: f64, b: f64, tol: f64) -> bool {
     if b == 0.0 {
@@ -269,5 +299,16 @@ mod tests {
         assert!(close(1.05, 1.0, 0.1));
         assert!(!close(1.5, 1.0, 0.1));
         assert!(close(0.0, 0.0, 0.1));
+    }
+
+    #[test]
+    fn subscriber_ranges_tile_the_population_in_order() {
+        for population in [0, 1, 7, 2_000, 18_001] {
+            let units = subscriber_ranges(population);
+            assert_eq!(units.len(), TRACE_SHARDS);
+            let ids: Vec<u32> = units.iter().flat_map(|u| u.ids.clone()).collect();
+            assert_eq!(ids, (0..population as u32).collect::<Vec<_>>());
+            assert!(units.iter().all(|u| u.population == population));
+        }
     }
 }

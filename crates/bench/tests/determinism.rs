@@ -5,18 +5,35 @@
 use threegol_bench::{registry, Pool, Scale};
 
 #[test]
-fn fig06_sharded_output_is_byte_identical_to_serial() {
-    let scale = Scale::new(0.15).expect("valid scale");
-    let fig06 = registry().get("fig06").expect("fig06 registered");
-    let serial = fig06.run_serial(scale);
-    for workers in [2, 4, 7] {
-        let sharded = Pool::with(workers, |pool| fig06.run_sharded(scale, pool));
-        assert_eq!(serial.render(), sharded.render(), "{workers} workers diverged (render)");
-        assert_eq!(
-            serial.render_markdown(),
-            sharded.render_markdown(),
-            "{workers} workers diverged (markdown)"
-        );
+fn sharded_output_is_byte_identical_to_serial() {
+    // fig06 shards per rep; the §6 trace experiments shard into a
+    // fixed number of subscriber ranges whose merges replay per-user
+    // data in user order (est06 adds per-range tallies in unit order).
+    let experiments = [
+        ("fig06", 0.15),
+        ("fig10", 0.1),
+        ("fig11a", 0.1),
+        ("fig11b", 0.1),
+        ("fig11c", 0.1),
+        ("est06", 0.1),
+    ];
+    for (id, scale) in experiments {
+        let scale = Scale::new(scale).expect("valid scale");
+        let experiment = registry().get(id).expect("registered");
+        let serial = experiment.run_serial(scale);
+        for workers in [1, 2, 4, 7] {
+            let sharded = Pool::with(workers, |pool| experiment.run_sharded(scale, pool));
+            assert_eq!(
+                serial.render(),
+                sharded.render(),
+                "{id}: {workers} workers diverged (render)"
+            );
+            assert_eq!(
+                serial.render_markdown(),
+                sharded.render_markdown(),
+                "{id}: {workers} workers diverged (markdown)"
+            );
+        }
     }
 }
 

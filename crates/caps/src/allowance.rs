@@ -25,6 +25,44 @@ pub trait FreeCapacityEstimator {
 
     /// Display label.
     fn label(&self) -> String;
+
+    /// An empty one-rule [`EstimatorTally`] of this estimator: what
+    /// [`evaluate_estimator`] folds a population through.
+    fn tally(&self) -> EstimatorTally;
+}
+
+/// The last `tau` months of a history (all of it if shorter).
+fn last_window(free_history_bytes: &[f64], tau: usize) -> &[f64] {
+    &free_history_bytes[free_history_bytes.len().saturating_sub(tau)..]
+}
+
+/// Mean and sample standard deviation of a non-empty window. With one
+/// month of history the sd is the mean itself: be conservative, treat
+/// the whole observation as uncertainty.
+fn window_mean_sd(window: &[f64]) -> (f64, f64) {
+    let n = window.len() as f64;
+    let mean = window.iter().sum::<f64>() / n;
+    let sd = if window.len() > 1 {
+        (window.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt()
+    } else {
+        mean
+    };
+    (mean, sd)
+}
+
+/// The mean-minus-guard allowance `F̄ − α·σ̄`, never negative.
+fn guard_allowance(mean: f64, sd: f64, alpha: f64) -> f64 {
+    (mean - alpha * sd).max(0.0)
+}
+
+/// The `q`-quantile of a non-empty ascending window, linearly
+/// interpolated, never negative.
+fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    let w = pos - lo as f64;
+    (sorted[lo] * (1.0 - w) + sorted[hi] * w).max(0.0)
 }
 
 /// The paper's allowance estimator.
@@ -57,17 +95,8 @@ impl AllowanceEstimator {
         if free_history_bytes.is_empty() {
             return 0.0;
         }
-        let window = &free_history_bytes[free_history_bytes.len().saturating_sub(self.tau)..];
-        let n = window.len() as f64;
-        let mean = window.iter().sum::<f64>() / n;
-        let sd = if window.len() > 1 {
-            (window.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt()
-        } else {
-            // One month of history: be conservative, treat the whole
-            // observation as uncertainty.
-            mean
-        };
-        (mean - self.alpha * sd).max(0.0)
+        let (mean, sd) = window_mean_sd(last_window(free_history_bytes, self.tau));
+        guard_allowance(mean, sd, self.alpha)
     }
 
     /// Daily allowance: the monthly allowance spread over 30 days.
@@ -83,6 +112,10 @@ impl FreeCapacityEstimator for AllowanceEstimator {
 
     fn label(&self) -> String {
         format!("mean−{}σ (τ={})", self.alpha, self.tau)
+    }
+
+    fn tally(&self) -> EstimatorTally {
+        EstimatorTally::new(self.tau, &[self.alpha], &[])
     }
 }
 
@@ -111,18 +144,17 @@ impl FreeCapacityEstimator for QuantileEstimator {
         if free_history_bytes.is_empty() {
             return 0.0;
         }
-        let window = &free_history_bytes[free_history_bytes.len().saturating_sub(self.tau)..];
-        let mut sorted = window.to_vec();
+        let mut sorted = last_window(free_history_bytes, self.tau).to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        let pos = self.q * (sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let w = pos - lo as f64;
-        (sorted[lo] * (1.0 - w) + sorted[hi] * w).max(0.0)
+        sorted_quantile(&sorted, self.q)
     }
 
     fn label(&self) -> String {
         format!("P{:.0} (τ={})", self.q * 100.0, self.tau)
+    }
+
+    fn tally(&self) -> EstimatorTally {
+        EstimatorTally::new(self.tau, &[], &[self.q])
     }
 }
 
@@ -140,50 +172,159 @@ pub struct EstimatorEvaluation {
     pub overrun_month_fraction: f64,
 }
 
+/// One rule's running §6 sums inside an [`EstimatorTally`].
+#[derive(Debug, Clone, Copy, Default)]
+struct RuleTally {
+    /// `Σ min(allowance, free)`.
+    used: f64,
+    /// Σ over-cap days.
+    overrun_days: f64,
+    /// User-months with any overrun.
+    overrun_months: usize,
+}
+
+impl RuleTally {
+    /// Score one user-month: the rule granted `allowance`, `free` was
+    /// actually free.
+    fn add(&mut self, allowance: f64, free: f64) {
+        self.used += allowance.min(free);
+        if allowance > free && allowance > 0.0 {
+            self.overrun_days += 30.0 * (1.0 - free / allowance);
+            self.overrun_months += 1;
+        }
+    }
+}
+
+/// The §6 evaluation of several allowance rules sharing one τ-month
+/// window, fused into one pass per user-month: the window's mean and
+/// sd are computed once for every mean-minus-guard rule (one per α)
+/// and the window is sorted once for every quantile rule. Each rule's
+/// sums take the same operands in the same order as a one-rule tally,
+/// so a fused rule evaluates bit for bit like
+/// [`evaluate_estimator`] on that rule alone.
+///
+/// Tallies of disjoint user sets [`merge`](EstimatorTally::merge):
+/// the month counts add exactly; the f64 sums add as partial sums, so
+/// they may differ from one running sum over the union in the last
+/// bits.
+#[derive(Debug, Clone)]
+pub struct EstimatorTally {
+    tau: usize,
+    alphas: Vec<f64>,
+    quantiles: Vec<f64>,
+    /// User-months evaluated (those with a full window).
+    months: usize,
+    /// `Σ free` over the evaluated months.
+    free_total: f64,
+    /// One per rule: the α rules, then the quantile rules.
+    rules: Vec<RuleTally>,
+    /// The current window, sorted for the quantile rules; reused
+    /// across months so the pass allocates nothing per month.
+    sorted: Vec<f64>,
+}
+
+impl EstimatorTally {
+    /// An empty tally of the mean-minus-guard rules `alphas` and the
+    /// quantile rules `quantiles`, all over the last `tau` months.
+    pub fn new(tau: usize, alphas: &[f64], quantiles: &[f64]) -> EstimatorTally {
+        assert!(tau >= 1, "window must cover at least one month");
+        assert!(alphas.iter().all(|&a| a >= 0.0));
+        assert!(quantiles.iter().all(|q| (0.0..=1.0).contains(q)));
+        EstimatorTally {
+            tau,
+            alphas: alphas.to_vec(),
+            quantiles: quantiles.to_vec(),
+            months: 0,
+            free_total: 0.0,
+            rules: vec![RuleTally::default(); alphas.len() + quantiles.len()],
+            sorted: Vec::with_capacity(tau),
+        }
+    }
+
+    /// Roll every rule over one user's monthly free-capacity series:
+    /// the allowance of month `t` comes from months `t−τ … t−1` and is
+    /// scored against the volume actually free in month `t`. A series
+    /// no longer than τ contributes nothing.
+    pub fn add_series(&mut self, free_by_month: &[f64]) {
+        let (guards, quantiles) = self.rules.split_at_mut(self.alphas.len());
+        for t in self.tau.min(free_by_month.len())..free_by_month.len() {
+            let window = &free_by_month[t - self.tau..t];
+            let free = free_by_month[t];
+            self.months += 1;
+            self.free_total += free;
+            if !guards.is_empty() {
+                let (mean, sd) = window_mean_sd(window);
+                for (rule, &alpha) in guards.iter_mut().zip(&self.alphas) {
+                    rule.add(guard_allowance(mean, sd, alpha), free);
+                }
+            }
+            if !quantiles.is_empty() {
+                self.sorted.clear();
+                self.sorted.extend_from_slice(window);
+                self.sorted.sort_by(|a, b| a.total_cmp(b));
+                for (rule, &q) in quantiles.iter_mut().zip(&self.quantiles) {
+                    rule.add(sorted_quantile(&self.sorted, q), free);
+                }
+            }
+        }
+    }
+
+    /// Add the tally of a disjoint set of users (same rules and τ).
+    pub fn merge(&mut self, other: &EstimatorTally) {
+        assert!(
+            self.tau == other.tau
+                && self.alphas == other.alphas
+                && self.quantiles == other.quantiles,
+            "merged tallies must evaluate the same rules"
+        );
+        self.months += other.months;
+        self.free_total += other.free_total;
+        for (rule, o) in self.rules.iter_mut().zip(&other.rules) {
+            rule.used += o.used;
+            rule.overrun_days += o.overrun_days;
+            rule.overrun_months += o.overrun_months;
+        }
+    }
+
+    /// The evaluation of every rule: the α rules in the order given,
+    /// then the quantile rules.
+    pub fn evaluations(&self) -> Vec<EstimatorEvaluation> {
+        let months = self.months;
+        let per_month = |x: f64| if months > 0 { x / months as f64 } else { 0.0 };
+        self.rules
+            .iter()
+            .map(|rule| EstimatorEvaluation {
+                months,
+                free_capacity_used: if self.free_total > 0.0 {
+                    rule.used / self.free_total
+                } else {
+                    0.0
+                },
+                mean_overrun_days: per_month(rule.overrun_days),
+                overrun_month_fraction: per_month(rule.overrun_months as f64),
+            })
+            .collect()
+    }
+}
+
 /// Run the §6 evaluation: for every user, roll the estimator over their
 /// monthly free-capacity series and compare the allowance of month `t`
-/// against the volume that was actually free in month `t`.
+/// against the volume that was actually free in month `t` — a
+/// one-rule [`EstimatorTally`] over the population.
 ///
 /// Overrun model: the allowance is consumed uniformly over a 30-day
 /// month, so if the allowance `a` exceeds the actually free volume `f`,
 /// the user's cap is exhausted after `30·f/a` days and the remaining
 /// `30·(1 − f/a)` days are over cap.
-pub fn evaluate_estimator<E: FreeCapacityEstimator + WindowTau>(
+pub fn evaluate_estimator<E: FreeCapacityEstimator>(
     est: &E,
     users_free_by_month: &[Vec<f64>],
 ) -> EstimatorEvaluation {
-    let tau = est.window_tau();
-    let mut months = 0usize;
-    let mut used = 0.0;
-    let mut free_total = 0.0;
-    let mut overrun_days = 0.0;
-    let mut overrun_months = 0usize;
+    let mut tally = est.tally();
     for series in users_free_by_month {
-        if series.len() <= tau {
-            continue;
-        }
-        for t in tau..series.len() {
-            let allowance = est.monthly_allowance(&series[..t]);
-            let free = series[t];
-            months += 1;
-            free_total += free;
-            used += allowance.min(free);
-            if allowance > free && allowance > 0.0 {
-                overrun_days += 30.0 * (1.0 - free / allowance);
-                overrun_months += 1;
-            }
-        }
+        tally.add_series(series);
     }
-    EstimatorEvaluation {
-        months,
-        free_capacity_used: if free_total > 0.0 { used / free_total } else { 0.0 },
-        mean_overrun_days: if months > 0 { overrun_days / months as f64 } else { 0.0 },
-        overrun_month_fraction: if months > 0 {
-            overrun_months as f64 / months as f64
-        } else {
-            0.0
-        },
-    }
+    tally.evaluations()[0]
 }
 
 /// The allowance estimator run *live*: one device's rolling
@@ -228,27 +369,10 @@ impl LiveAllowance {
     }
 }
 
-/// Exposes the history-window length an estimator warms up over.
-pub trait WindowTau {
-    /// Months of history needed before the estimator is trusted.
-    fn window_tau(&self) -> usize;
-}
-
-impl WindowTau for AllowanceEstimator {
-    fn window_tau(&self) -> usize {
-        self.tau
-    }
-}
-
-impl WindowTau for QuantileEstimator {
-    fn window_tau(&self) -> usize {
-        self.tau
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const MB: f64 = 1e6;
 
@@ -390,5 +514,123 @@ mod tests {
         let tight = evaluate_estimator(&AllowanceEstimator::new(5, 4.0), &mk_users());
         assert!(tight.mean_overrun_days <= loose.mean_overrun_days);
         assert!(tight.free_capacity_used <= loose.free_capacity_used);
+    }
+
+    /// The §6 evaluation as a plain loop over the public per-call
+    /// allowance — the path [`LiveAllowance`] takes — for the tally
+    /// to be checked against.
+    fn rolled<E: FreeCapacityEstimator>(est: &E, tau: usize, users: &[Vec<f64>]) -> [u64; 4] {
+        let (mut months, mut used, mut free_total, mut overrun_days, mut overrun_months) =
+            (0usize, 0.0, 0.0, 0.0, 0usize);
+        for series in users.iter().filter(|s| s.len() > tau) {
+            for t in tau..series.len() {
+                let allowance = est.monthly_allowance(&series[..t]);
+                let free = series[t];
+                months += 1;
+                free_total += free;
+                used += allowance.min(free);
+                if allowance > free && allowance > 0.0 {
+                    overrun_days += 30.0 * (1.0 - free / allowance);
+                    overrun_months += 1;
+                }
+            }
+        }
+        let ev = EstimatorEvaluation {
+            months,
+            free_capacity_used: if free_total > 0.0 { used / free_total } else { 0.0 },
+            mean_overrun_days: if months > 0 { overrun_days / months as f64 } else { 0.0 },
+            overrun_month_fraction: if months > 0 {
+                overrun_months as f64 / months as f64
+            } else {
+                0.0
+            },
+        };
+        bits(&ev)
+    }
+
+    fn bits(ev: &EstimatorEvaluation) -> [u64; 4] {
+        [
+            ev.months as u64,
+            ev.free_capacity_used.to_bits(),
+            ev.mean_overrun_days.to_bits(),
+            ev.overrun_month_fraction.to_bits(),
+        ]
+    }
+
+    /// The two windows the property covers: τ = 1 and the paper's 5.
+    fn tau() -> impl Strategy<Value = usize> {
+        (0u8..2).prop_map(|wide| if wide == 1 { 5 } else { 1 })
+    }
+
+    /// Monthly free volumes: mostly a spread of sizes, with exact
+    /// zeros (a month used up to the cap) mixed in.
+    fn population() -> impl Strategy<Value = Vec<Vec<f64>>> {
+        let month = (0u8..5, 0.0f64..2e9).prop_map(|(k, x)| if k == 0 { 0.0 } else { x });
+        proptest::collection::vec(proptest::collection::vec(month, 0..=24), 0..8)
+    }
+
+    const ALPHAS: [f64; 3] = [0.0, 4.0, 8.0];
+    const QUANTILES: [f64; 3] = [0.0, 0.25, 0.5];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn fused_tally_matches_each_rule_alone(users in population(), tau in tau()) {
+            let mut fused = EstimatorTally::new(tau, &ALPHAS, &QUANTILES);
+            for series in &users {
+                fused.add_series(series);
+            }
+            let fused = fused.evaluations();
+            prop_assert_eq!(fused.len(), ALPHAS.len() + QUANTILES.len());
+            for (i, &alpha) in ALPHAS.iter().enumerate() {
+                let est = AllowanceEstimator::new(tau, alpha);
+                let alone = evaluate_estimator(&est, &users);
+                prop_assert_eq!(bits(&fused[i]), bits(&alone), "tau {} alpha {}", tau, alpha);
+                prop_assert_eq!(bits(&alone), rolled(&est, tau, &users), "tau {} alpha {}", tau, alpha);
+            }
+            for (i, &q) in QUANTILES.iter().enumerate() {
+                let est = QuantileEstimator::new(tau, q);
+                let alone = evaluate_estimator(&est, &users);
+                let f = &fused[ALPHAS.len() + i];
+                prop_assert_eq!(bits(f), bits(&alone), "tau {} q {}", tau, q);
+                prop_assert_eq!(bits(&alone), rolled(&est, tau, &users), "tau {} q {}", tau, q);
+            }
+        }
+
+        #[test]
+        fn merged_tallies_add_their_counts_exactly(
+            users in population(),
+            tau in tau(),
+            cut in 0usize..8,
+        ) {
+            let cut = cut.min(users.len());
+            let tally = |part: &[Vec<f64>]| {
+                let mut t = EstimatorTally::new(tau, &ALPHAS, &QUANTILES);
+                for series in part {
+                    t.add_series(series);
+                }
+                t
+            };
+            let whole = tally(&users);
+            let (head, tail) = (tally(&users[..cut]), tally(&users[cut..]));
+            let mut merged = head.clone();
+            merged.merge(&tail);
+            prop_assert_eq!(merged.months, head.months + tail.months);
+            prop_assert_eq!(merged.months, whole.months);
+            for ((m, w), (h, t)) in
+                merged.rules.iter().zip(&whole.rules).zip(head.rules.iter().zip(&tail.rules))
+            {
+                prop_assert_eq!(m.overrun_months, h.overrun_months + t.overrun_months);
+                prop_assert_eq!(m.overrun_months, w.overrun_months);
+                prop_assert!((m.used - w.used).abs() <= 1e-9 * w.used.abs().max(1.0));
+                prop_assert!(
+                    (m.overrun_days - w.overrun_days).abs() <= 1e-9 * w.overrun_days.max(1.0)
+                );
+            }
+            prop_assert!(
+                (merged.free_total - whole.free_total).abs() <= 1e-9 * whole.free_total.max(1.0)
+            );
+        }
     }
 }

@@ -15,13 +15,14 @@
 //!   advertising;
 //! * [`evaluate_estimator`] — the §6 evaluation: the fraction of
 //!   available free capacity the estimator lets 3GOL use, and the
-//!   expected cap-overrun time per month.
+//!   expected cap-overrun time per month; [`EstimatorTally`] runs it
+//!   for several rules in one pass and merges across user shards.
 
 pub mod allowance;
 pub mod quota;
 
 pub use allowance::{
-    evaluate_estimator, AllowanceEstimator, EstimatorEvaluation, FreeCapacityEstimator,
-    LiveAllowance, QuantileEstimator, WindowTau,
+    evaluate_estimator, AllowanceEstimator, EstimatorEvaluation, EstimatorTally,
+    FreeCapacityEstimator, LiveAllowance, QuantileEstimator,
 };
 pub use quota::{AdmissibleSet, MonthlyUsage, QuotaTracker};

@@ -244,6 +244,22 @@ mod tests {
     }
 
     #[test]
+    fn hoisted_lognormal_params_replay_mean_sd_draws() {
+        // Callers drawing many values from one (mean, sd) convert once
+        // and call `lognormal`: the draws must be the same bits.
+        for (mean, sd) in [(50e6, 45e6), (1.0, 0.25), (2.5, 0.74)] {
+            let (mu, sigma) = lognormal_params(mean, sd);
+            let mut hoisted = SimRng::seed_from_u64(9);
+            let mut direct = SimRng::seed_from_u64(9);
+            for _ in 0..1_000 {
+                let a = hoisted.lognormal(mu, sigma);
+                let b = direct.lognormal_mean_sd(mean, sd);
+                assert_eq!(a.to_bits(), b.to_bits(), "mean {mean} sd {sd}");
+            }
+        }
+    }
+
+    #[test]
     fn exponential_mean() {
         let mut rng = SimRng::seed_from_u64(3);
         let xs: Vec<f64> = (0..50_000).map(|_| rng.exponential(3.0)).collect();

@@ -6,7 +6,7 @@
 //! onloaded share is throttled by the remaining daily 3GOL budget.
 
 use crate::diurnal::{mobile_diurnal_load, wired_diurnal_load};
-use crate::dslam::DslamTrace;
+use crate::dslam::{DslamTrace, VideoRequest};
 
 /// Transfer-model parameters for the budgeted analyses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,26 +48,28 @@ impl BudgetModel {
     }
 }
 
+/// Fig 11a for one subscriber: the speedup `DSL latency / 3GOL
+/// latency` over their day's requests (in time order, as
+/// [`DslamTrace::user_requests`] yields them), with the daily budget
+/// applied in request order. `None` for a subscriber with no video.
+pub fn budgeted_speedup(requests: &[VideoRequest], model: &BudgetModel) -> Option<f64> {
+    let mut budget = model.daily_budget_bytes;
+    let mut dsl_total = 0.0;
+    let mut gol_total = 0.0;
+    for r in requests {
+        dsl_total += model.dsl_latency_secs(r.size_bytes);
+        let o = model.onload_bytes(r.size_bytes, budget);
+        budget -= o;
+        gol_total += model.latency_secs(r.size_bytes, o);
+    }
+    (gol_total > 0.0).then(|| dsl_total / gol_total)
+}
+
 /// Fig 11a: per-user speedup `DSL latency / 3GOL latency` over the
 /// day's videos, with the daily budget applied in request order.
-/// Returns one ratio per video user.
+/// Returns one ratio per video user, in user order.
 pub fn budgeted_speedup_per_user(trace: &DslamTrace, model: &BudgetModel) -> Vec<f64> {
-    let mut ratios = Vec::new();
-    for (_, requests) in trace.by_user() {
-        let mut budget = model.daily_budget_bytes;
-        let mut dsl_total = 0.0;
-        let mut gol_total = 0.0;
-        for r in &requests {
-            dsl_total += model.dsl_latency_secs(r.size_bytes);
-            let o = model.onload_bytes(r.size_bytes, budget);
-            budget -= o;
-            gol_total += model.latency_secs(r.size_bytes, o);
-        }
-        if gol_total > 0.0 {
-            ratios.push(dsl_total / gol_total);
-        }
-    }
-    ratios
+    trace.by_user().iter().filter_map(|(_, requests)| budgeted_speedup(requests, model)).collect()
 }
 
 /// Result of the Fig 11b load computation.
@@ -89,38 +91,71 @@ pub struct CellLoad {
 /// 2 seconds on DSL").
 pub const MIN_BOOST_BYTES: f64 = 750e3;
 
+/// One boosted request's contribution to the Fig 11b bins: the bytes
+/// it adds to its 5-minute bin with and without the daily budget.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BinAdd {
+    /// 5-minute bin of the request, `0..288`.
+    pub bin: usize,
+    /// Onloaded bytes with no budget.
+    pub uncapped: f64,
+    /// Onloaded bytes under the daily budget.
+    pub capped: f64,
+}
+
+/// Fig 11b for one subscriber: the bin adds of their qualifying
+/// requests (in time order, as [`DslamTrace::user_requests`] yields
+/// them), accelerated until the daily budget runs out.
+pub fn boosted_bin_adds<'a>(
+    requests: &'a [VideoRequest],
+    model: &'a BudgetModel,
+) -> impl Iterator<Item = BinAdd> + 'a {
+    let mut budget = model.daily_budget_bytes;
+    requests.iter().filter(|r| r.size_bytes >= MIN_BOOST_BYTES).map(move |r| {
+        let bin = ((r.time_secs / 300.0).floor() as usize).min(287);
+        let uncapped = model.onload_bytes(r.size_bytes, f64::INFINITY);
+        let capped = model.onload_bytes(r.size_bytes, budget);
+        budget -= capped;
+        BinAdd { bin, uncapped, capped }
+    })
+}
+
+impl CellLoad {
+    /// Sum the bin adds of `users` video users, replayed in user order,
+    /// into the Fig 11b load. Every accumulator takes the same adds in
+    /// the same order however the users were gathered, so the result
+    /// is bit-identical to one pass over the whole population.
+    pub fn from_adds(
+        users: usize,
+        adds: impl IntoIterator<Item = BinAdd>,
+        backhaul_bps: f64,
+    ) -> CellLoad {
+        let mut capped = vec![0.0_f64; 288];
+        let mut uncapped = vec![0.0_f64; 288];
+        let mut onloaded_total = 0.0;
+        for add in adds {
+            uncapped[add.bin] += add.uncapped;
+            capped[add.bin] += add.capped;
+            onloaded_total += add.capped;
+        }
+        // bytes per 300 s bin → bits/s
+        let to_bps = |v: Vec<f64>| v.into_iter().map(|b| b * 8.0 / 300.0).collect();
+        CellLoad {
+            capped_bps: to_bps(capped),
+            uncapped_bps: to_bps(uncapped),
+            backhaul_bps,
+            mean_onloaded_per_user_bytes: onloaded_total / users.max(1) as f64,
+        }
+    }
+}
+
 /// Fig 11b: traffic onloaded onto the cellular network in 5-minute
 /// bins. Capped mode accelerates each user's qualifying videos until
 /// the daily budget runs out; uncapped mode accelerates everything.
 pub fn cell_load(trace: &DslamTrace, model: &BudgetModel, backhaul_bps: f64) -> CellLoad {
-    let mut capped = vec![0.0_f64; 288];
-    let mut uncapped = vec![0.0_f64; 288];
-    let mut onloaded_total = 0.0;
-    let mut users = 0usize;
-    for (_, requests) in trace.by_user() {
-        users += 1;
-        let mut budget = model.daily_budget_bytes;
-        for r in &requests {
-            if r.size_bytes < MIN_BOOST_BYTES {
-                continue;
-            }
-            let bin = ((r.time_secs / 300.0).floor() as usize).min(287);
-            let unlimited = model.onload_bytes(r.size_bytes, f64::INFINITY);
-            uncapped[bin] += unlimited;
-            let o = model.onload_bytes(r.size_bytes, budget);
-            budget -= o;
-            capped[bin] += o;
-            onloaded_total += o;
-        }
-    }
-    // bytes per 300 s bin → bits/s
-    let to_bps = |v: Vec<f64>| v.into_iter().map(|b| b * 8.0 / 300.0).collect();
-    CellLoad {
-        capped_bps: to_bps(capped),
-        uncapped_bps: to_bps(uncapped),
-        backhaul_bps,
-        mean_onloaded_per_user_bytes: onloaded_total / users.max(1) as f64,
-    }
+    let groups = trace.by_user();
+    let adds = groups.iter().flat_map(|(_, requests)| boosted_bin_adds(requests, model));
+    CellLoad::from_adds(groups.len(), adds, backhaul_bps)
 }
 
 /// One point of the Fig 11c adoption analysis.

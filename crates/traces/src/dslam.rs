@@ -12,7 +12,7 @@
 //! * video sizes average ~50 MB (the paper's YouTube reference), with
 //!   a heavy right tail; request times follow the wired diurnal curve.
 
-use threegol_simnet::dist::mix_seed;
+use threegol_simnet::dist::{lognormal_params, mix_seed};
 use threegol_simnet::SimRng;
 
 use crate::diurnal::wired_diurnal_load;
@@ -103,8 +103,9 @@ pub struct UserStream {
     user: u32,
     remaining: usize,
     hour_weights: [f64; 24],
-    size_mean: f64,
-    size_sd: f64,
+    /// The video-size lognormal as `(mu, sigma)`, converted once per
+    /// stream rather than once per draw.
+    size_params: (f64, f64),
 }
 
 impl UserStream {
@@ -124,8 +125,7 @@ impl UserStream {
             user,
             remaining,
             hour_weights: *wired_diurnal_load().normalized_sum().weights(),
-            size_mean: config.video_size_mean_bytes,
-            size_sd: config.video_size_sd_bytes,
+            size_params: lognormal_params(config.video_size_mean_bytes, config.video_size_sd_bytes),
         }
     }
 
@@ -146,7 +146,8 @@ impl Iterator for UserStream {
         // Hour by the wired diurnal distribution, uniform within.
         let hour = diurnal_hour(&mut self.rng, &self.hour_weights);
         let time_secs = (hour as f64 + self.rng.uniform()) * 3600.0;
-        let size_bytes = self.rng.lognormal_mean_sd(self.size_mean, self.size_sd).max(100e3);
+        let (mu, sigma) = self.size_params;
+        let size_bytes = self.rng.lognormal(mu, sigma).max(100e3);
         Some(VideoRequest { user_id: self.user, time_secs, size_bytes })
     }
 
@@ -164,6 +165,20 @@ impl DslamTrace {
     /// order (unsorted; `generate` sorts globally by time).
     pub fn user_stream(config: &DslamTraceConfig, user: u32) -> UserStream {
         UserStream::new(config, user)
+    }
+
+    /// One subscriber's requests in time order, written into `out`
+    /// (cleared first, so a pass over many subscribers reuses one
+    /// buffer): exactly the group [`DslamTrace::by_user`] yields for
+    /// `user`, bit for bit and in the same order, and empty for a
+    /// subscriber with no video. `generate` sorts its concatenation of
+    /// the streams stably by time, so a subscriber's requests keep
+    /// their draw order on ties; the same stable sort over the one
+    /// stream reproduces that order.
+    pub fn user_requests(config: &DslamTraceConfig, user: u32, out: &mut Vec<VideoRequest>) {
+        out.clear();
+        out.extend(DslamTrace::user_stream(config, user));
+        out.sort_by(|a, b| a.time_secs.total_cmp(&b.time_secs));
     }
 
     /// Generate a trace — a thin wrapper concatenating every user's
@@ -209,14 +224,15 @@ impl DslamTrace {
     }
 
     /// Group requests by user (ascending user id, each user's requests
-    /// in time order).
+    /// in time order). One stable sort on `user_id` keeps each user's
+    /// requests in the trace's time order.
     pub fn by_user(&self) -> Vec<(u32, Vec<VideoRequest>)> {
-        use std::collections::BTreeMap;
-        let mut m: BTreeMap<u32, Vec<VideoRequest>> = BTreeMap::new();
-        for r in &self.requests {
-            m.entry(r.user_id).or_default().push(*r);
-        }
-        m.into_iter().collect()
+        let mut requests = self.requests.clone();
+        requests.sort_by_key(|r| r.user_id);
+        requests
+            .chunk_by(|a, b| a.user_id == b.user_id)
+            .map(|group| (group[0].user_id, group.to_vec()))
+            .collect()
     }
 }
 
@@ -299,29 +315,33 @@ mod tests {
     fn user_stream_matches_generate_bitwise() {
         let config = DslamTraceConfig { n_users: 512, ..DslamTraceConfig::default() };
         let t = DslamTrace::generate(config.clone());
-        let grouped = t.by_user();
-        let mut streamed_users = 0usize;
+        let mut grouped = t.by_user().into_iter().peekable();
+        let mut reqs = Vec::new();
         let mut streamed_total = 0usize;
+        let mut zero_video_users = 0usize;
         for uid in 0..config.n_users as u32 {
-            let mut reqs: Vec<VideoRequest> = DslamTrace::user_stream(&config, uid).collect();
-            if reqs.is_empty() {
+            DslamTrace::user_requests(&config, uid, &mut reqs);
+            if grouped.peek().is_none_or(|(g, _)| *g != uid) {
+                // Not in the batch trace: a subscriber with no video,
+                // whose stream is empty too.
+                assert!(reqs.is_empty(), "user {uid} streamed {} requests", reqs.len());
+                zero_video_users += 1;
                 continue;
             }
-            streamed_users += 1;
+            let (_, greqs) = grouped.next().expect("peeked");
             streamed_total += reqs.len();
-            reqs.sort_by(|a, b| a.time_secs.total_cmp(&b.time_secs));
-            let (guid, greqs) =
-                grouped.iter().find(|(u, _)| *u == uid).expect("user present in batch trace");
-            assert_eq!(*guid, uid);
-            // Bitwise equality: the stream replays the exact draws of
-            // the batch generator, f64 bit patterns included.
+            // Bitwise equality, order included: the stream replays the
+            // exact draws of the batch generator, and the per-user
+            // stable sort reproduces the global sort's tie order.
             assert_eq!(reqs.len(), greqs.len(), "user {uid}");
             for (a, b) in reqs.iter().zip(greqs.iter()) {
+                assert_eq!(a.user_id, uid);
                 assert_eq!(a.time_secs.to_bits(), b.time_secs.to_bits(), "user {uid}");
                 assert_eq!(a.size_bytes.to_bits(), b.size_bytes.to_bits(), "user {uid}");
             }
         }
-        assert_eq!(streamed_users, grouped.len());
+        assert!(grouped.next().is_none(), "batch trace has a user the streams lack");
+        assert!(zero_video_users > 0, "512 users include no non-video subscriber");
         assert_eq!(streamed_total, t.requests.len());
     }
 

@@ -8,7 +8,7 @@
 //! about 20 MB/day (~600 MB/month) of already-paid-for free volume per
 //! device.
 
-use threegol_simnet::dist::mix_seed;
+use threegol_simnet::dist::{lognormal_params, mix_seed};
 use threegol_simnet::stats::Ecdf;
 use threegol_simnet::SimRng;
 
@@ -67,6 +67,27 @@ impl UserBilling {
     pub fn latest_used_fraction(&self) -> f64 {
         self.monthly_used_bytes.last().map(|u| u / self.cap_bytes).unwrap_or(0.0)
     }
+
+    /// Used volume in the latest month, bytes (0 with no history).
+    pub fn latest_used_bytes(&self) -> f64 {
+        self.monthly_used_bytes.last().copied().unwrap_or(0.0)
+    }
+
+    /// Free volume in the latest month, bytes (0 with no history): the
+    /// last entry of [`UserBilling::monthly_free_bytes`].
+    pub fn latest_free_bytes(&self) -> f64 {
+        self.monthly_used_bytes.last().map(|u| (self.cap_bytes - u).max(0.0)).unwrap_or(0.0)
+    }
+}
+
+/// Mean of per-user values summed in the order given (0 for none) —
+/// the population mean behind [`MnoTrace::mean_free_bytes`] and
+/// [`MnoTrace::mean_used_bytes`], shared so a caller that gathers the
+/// same per-user values piecewise, in user order, gets the same bits.
+pub fn mean_per_user(values: impl IntoIterator<Item = f64>) -> f64 {
+    let mut users = 0usize;
+    let total: f64 = values.into_iter().inspect(|_| users += 1).sum();
+    total / users.max(1) as f64
 }
 
 /// The generated dataset.
@@ -101,38 +122,43 @@ fn sample_used_fraction(rng: &mut SimRng) -> f64 {
 }
 
 impl MnoTrace {
-    /// Generate the dataset.
-    pub fn generate(config: MnoConfig) -> MnoTrace {
-        assert!(!config.cap_tiers.is_empty());
+    /// One subscriber's billing history, seeded purely from
+    /// `(config.seed, user)`: exactly `generate(config).users[user]`,
+    /// bit for bit, without drawing anyone else.
+    pub fn user(config: &MnoConfig, user: u64) -> UserBilling {
         let weight_sum: f64 = config.cap_tiers.iter().map(|(_, w)| w).sum();
         assert!(weight_sum > 0.0);
-        let mut users = Vec::with_capacity(config.n_users);
-        for uid in 0..config.n_users as u64 {
-            let mut rng = SimRng::seed_from_u64(mix_seed(config.seed, uid));
-            // Cap tier by weighted choice.
-            let mut pick = rng.uniform() * weight_sum;
-            let mut cap = config.cap_tiers[0].0;
-            for &(c, w) in &config.cap_tiers {
-                if pick <= w {
-                    cap = c;
-                    break;
-                }
-                pick -= w;
+        let mut rng = SimRng::seed_from_u64(mix_seed(config.seed, user));
+        // Cap tier by weighted choice.
+        let mut pick = rng.uniform() * weight_sum;
+        let mut cap = config.cap_tiers[0].0;
+        for &(c, w) in &config.cap_tiers {
+            if pick <= w {
+                cap = c;
+                break;
             }
-            // Stable per-user base fraction + monthly multiplicative noise.
-            let base_fraction = sample_used_fraction(&mut rng);
-            let monthly_used_bytes = (0..config.n_months)
-                .map(|_| {
-                    let noise = if config.monthly_noise_rel_sd > 0.0 {
-                        rng.lognormal_mean_sd(1.0, config.monthly_noise_rel_sd)
-                    } else {
-                        1.0
-                    };
-                    base_fraction * noise * cap
-                })
-                .collect();
-            users.push(UserBilling { user_id: uid, cap_bytes: cap, monthly_used_bytes });
+            pick -= w;
         }
+        // Stable per-user base fraction + monthly multiplicative noise.
+        let base_fraction = sample_used_fraction(&mut rng);
+        let noise_params = (config.monthly_noise_rel_sd > 0.0)
+            .then(|| lognormal_params(1.0, config.monthly_noise_rel_sd));
+        let monthly_used_bytes = (0..config.n_months)
+            .map(|_| {
+                let noise = match noise_params {
+                    Some((mu, sigma)) => rng.lognormal(mu, sigma),
+                    None => 1.0,
+                };
+                base_fraction * noise * cap
+            })
+            .collect();
+        UserBilling { user_id: user, cap_bytes: cap, monthly_used_bytes }
+    }
+
+    /// Generate the dataset: [`MnoTrace::user`] for every subscriber.
+    pub fn generate(config: MnoConfig) -> MnoTrace {
+        assert!(!config.cap_tiers.is_empty());
+        let users = (0..config.n_users as u64).map(|uid| MnoTrace::user(&config, uid)).collect();
         MnoTrace { users, config }
     }
 
@@ -144,17 +170,13 @@ impl MnoTrace {
     /// Mean free volume per user in the latest month, bytes (the
     /// paper's "on average … 20 MB per device per day" ≈ 600 MB/month).
     pub fn mean_free_bytes(&self) -> f64 {
-        let total: f64 =
-            self.users.iter().map(|u| u.monthly_free_bytes().last().copied().unwrap_or(0.0)).sum();
-        total / self.users.len().max(1) as f64
+        mean_per_user(self.users.iter().map(UserBilling::latest_free_bytes))
     }
 
     /// Mean *used* volume per user in the latest month, bytes (the
     /// existing cellular load in the Fig 11c adoption analysis).
     pub fn mean_used_bytes(&self) -> f64 {
-        let total: f64 =
-            self.users.iter().map(|u| u.monthly_used_bytes.last().copied().unwrap_or(0.0)).sum();
-        total / self.users.len().max(1) as f64
+        mean_per_user(self.users.iter().map(UserBilling::latest_used_bytes))
     }
 
     /// Per-user free-capacity series (input to the allowance estimator).
@@ -203,6 +225,28 @@ mod tests {
         let b = trace();
         assert_eq!(a.users[17], b.users[17]);
         assert_eq!(a.users.len(), b.users.len());
+    }
+
+    #[test]
+    fn user_matches_generate_bitwise() {
+        let config = MnoConfig { n_users: 300, n_months: 18, ..MnoConfig::default() };
+        let t = MnoTrace::generate(config.clone());
+        for (uid, batch) in t.users.iter().enumerate() {
+            let alone = MnoTrace::user(&config, uid as u64);
+            assert_eq!(alone.user_id, batch.user_id);
+            assert_eq!(alone.cap_bytes.to_bits(), batch.cap_bytes.to_bits(), "user {uid}");
+            let bits = |u: &UserBilling| -> Vec<u64> {
+                u.monthly_used_bytes.iter().map(|b| b.to_bits()).collect()
+            };
+            assert_eq!(bits(&alone), bits(batch), "user {uid}");
+            let free = batch.monthly_free_bytes();
+            assert_eq!(batch.latest_free_bytes().to_bits(), free[free.len() - 1].to_bits());
+        }
+        // With no monthly noise the usage is the base fraction alone.
+        let flat = MnoConfig { n_users: 4, monthly_noise_rel_sd: 0.0, ..MnoConfig::default() };
+        let u = MnoTrace::user(&flat, 3);
+        assert!(u.monthly_used_bytes.windows(2).all(|w| w[0] == w[1]));
+        assert_eq!(u, MnoTrace::generate(flat).users[3]);
     }
 
     #[test]
