@@ -774,10 +774,14 @@ where
     F: Fn(u32) -> HomeSpec + Send + Sync + 'static,
 {
     assert!(homes <= u32::MAX as usize, "home index space is u32");
+    // A chunk past the fleet is one unit of the whole fleet; clamp
+    // before narrowing so a huge chunk cannot wrap.
+    let chunk = chunk.clamp(1, homes.max(1)) as u32;
     let homes = homes as u32;
-    let chunk = chunk.max(1) as u32;
-    let ranges: Vec<(u32, u32)> =
-        (0..homes).step_by(chunk as usize).map(|start| (start, homes.min(start + chunk))).collect();
+    let ranges: Vec<(u32, u32)> = (0..homes)
+        .step_by(chunk as usize)
+        .map(|start| (start, homes.min(start.saturating_add(chunk))))
+        .collect();
     fold(
         pool,
         ranges,

@@ -4,9 +4,11 @@
 //! sizes, it agrees with the sequential per-report fold, and the
 //! traffic never touches a kernel socket.
 
+mod support;
+
 use threegol_bench::fleet::{
-    collect_reports, home_spec, run_fleet, run_fleet_mode, scenario_spec, FleetDigest, RuntimeMode,
-    DEFAULT_CHUNK,
+    collect_reports, home_spec, run_fleet_mode, run_fleet_with, scenario_spec, FleetDigest,
+    RuntimeMode, DEFAULT_CHUNK,
 };
 use threegol_bench::Pool;
 use threegol_proxy::Home;
@@ -31,18 +33,19 @@ fn two_hundred_home_fleet_is_deterministic_and_kernel_socket_free() {
     #[cfg(target_os = "linux")]
     let sockets_before = kernel_socket_count();
 
-    // Two streamed runs on 4 workers, one on 1 worker (the serial
-    // path), one on 7 (a count that doesn't divide the fleet) with a
-    // chunk size that doesn't divide it either: every digest field —
-    // f64-derived sums and the content hash included — must agree bit
-    // for bit.
-    let first = Pool::with(4, |pool| run_fleet(200, DEFAULT_CHUNK, pool));
-    let second = Pool::with(4, |pool| run_fleet(200, DEFAULT_CHUNK, pool));
-    let serial = Pool::with(1, |pool| run_fleet(200, DEFAULT_CHUNK, pool));
-    let odd = Pool::with(7, |pool| run_fleet(200, 23, pool));
-    assert_eq!(first, second, "same worker count diverged");
-    assert_eq!(first, serial, "worker count changed the result");
-    assert_eq!(first, odd, "worker/chunk combination changed the result");
+    // The contract on the paper-default street with reused runtimes:
+    // every digest field — f64-derived sums and the content hash
+    // included — agrees bit for bit across worker counts (one that
+    // does not divide the fleet) and chunk sizes (one that does not
+    // divide it either). The recorded value is the pre-scenario
+    // baseline: the scenario engine must leave the paper-default
+    // street's digest where it was.
+    let first = support::contract(
+        &[RuntimeMode::Reuse],
+        |pool, chunk, mode| run_fleet_mode(200, chunk, pool, home_spec, mode),
+        FleetDigest::digest,
+        "8cf467045efaa947",
+    );
 
     // The streamed digest is exactly the sequential fold of the
     // materialized per-home reports.
@@ -72,15 +75,6 @@ fn two_hundred_home_fleet_is_deterministic_and_kernel_socket_free() {
     assert!(first.upload_gain.p50() > 1.5, "median upload gain {}", first.upload_gain.p50());
     assert!(first.vod_gain.p50() > 1.0, "median vod gain {}", first.vod_gain.p50());
     assert!(first.net_events > 200 * 10, "implausibly few net events: {}", first.net_events);
-
-    // The recorded pre-scenario baseline: adding the scenario engine
-    // (new `HomeReport` fields, `Scenario` on the spec) must leave the
-    // paper-default street's digest bit-for-bit where it was.
-    assert_eq!(
-        format!("{:016x}", first.digest()),
-        "8cf467045efaa947",
-        "paper-default 200-home digest drifted from the recorded baseline"
-    );
 }
 
 #[test]
@@ -92,28 +86,20 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
     // leave mid-day with p=0.35), so this is also the fleet-level churn
     // determinism proof.
     let (homes, days) = (24usize, 3u16);
-    let mut runs = Vec::new();
-    for (workers, chunk) in [(1, DEFAULT_CHUNK), (4, 23), (7, 23)] {
-        for mode in [RuntimeMode::Reuse, RuntimeMode::Fresh] {
-            let digest = Pool::with(workers, |pool| {
-                run_fleet_mode(
-                    homes,
-                    chunk,
-                    pool,
-                    move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED),
-                    mode,
-                )
-            });
-            runs.push((workers, chunk, mode, digest));
-        }
-    }
-    let (_, _, _, reference) = &runs[0];
-    for (workers, chunk, mode, digest) in &runs[1..] {
-        assert_eq!(
-            digest, reference,
-            "{workers} worker(s) / chunk {chunk} / {mode:?} diverged on the traced fleet"
-        );
-    }
+    let reference = support::contract(
+        &[RuntimeMode::Reuse, RuntimeMode::Fresh],
+        |pool, chunk, mode| {
+            run_fleet_mode(
+                homes,
+                chunk,
+                pool,
+                move |i| scenario_spec(i, days, DEFAULT_SCENARIO_SEED),
+                mode,
+            )
+        },
+        FleetDigest::digest,
+        "5daed0ce8811ec0a",
+    );
 
     // The scenario accumulators are populated and self-consistent.
     let s = &reference.scenario;
@@ -133,11 +119,6 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
     assert!(day_dl > 0.0 && day_ul > 0.0, "traced street onloaded nothing");
     assert!((0.0..=1.0).contains(&s.captured_fraction()));
     assert!(reference.render().contains("scenario:"), "render omits the scenario lines");
-    assert_eq!(
-        format!("{:016x}", reference.digest()),
-        "5daed0ce8811ec0a",
-        "traced 24-home 3-day digest drifted from the recorded baseline"
-    );
 
     // A different seed is a different street.
     let reseeded = Pool::with(4, |pool| {
@@ -155,29 +136,23 @@ fn traced_scenario_fleet_is_deterministic_across_workers_chunks_and_modes() {
 #[test]
 fn runtime_reuse_is_bitwise_invisible() {
     // The fourth determinism invariant (DESIGN.md §11): the fleet
-    // digest is a pure function of (homes, spec) — worker count, chunk
-    // size, AND runtime mode included. A reused runtime whose reset
-    // leaks any state into the next home (a timer, a task, a clock
-    // skew, a virtual-net table entry) shifts some transfer's
-    // completion instant and changes the content hash, so bitwise
-    // equality across every {workers} x {chunk} x {reuse|fresh}
-    // combination is the whole proof.
-    let mut runs = Vec::new();
-    for (workers, chunk) in [(1, DEFAULT_CHUNK), (4, 23)] {
-        for mode in [RuntimeMode::Reuse, RuntimeMode::Fresh] {
-            let digest =
-                Pool::with(workers, |pool| run_fleet_mode(200, chunk, pool, home_spec, mode));
-            runs.push((workers, chunk, mode, digest));
-        }
-    }
-    let (_, _, _, reference) = &runs[0];
-    assert_eq!(reference.homes, 200);
-    for (workers, chunk, mode, digest) in &runs[1..] {
-        assert_eq!(
-            digest, reference,
-            "{workers} worker(s) / chunk {chunk} / {mode:?} diverged from the reference digest"
-        );
-    }
+    // digest is a pure function of (homes, spec) — runtime mode
+    // included. A reused runtime whose reset leaks any state into the
+    // next home (a timer, a task, a clock skew, a virtual-net table
+    // entry) shifts some transfer's completion instant and changes the
+    // content hash. The fresh-runtime grid must hold the recorded
+    // digest, and its reference must equal a reused run as a whole.
+    let fresh = support::contract(
+        &[RuntimeMode::Fresh],
+        |pool, chunk, mode| run_fleet_mode(200, chunk, pool, home_spec, mode),
+        FleetDigest::digest,
+        "8cf467045efaa947",
+    );
+    let reused = Pool::with(1, |pool| {
+        run_fleet_mode(200, DEFAULT_CHUNK, pool, home_spec, RuntimeMode::Reuse)
+    });
+    assert_eq!(fresh.homes, 200);
+    assert_eq!(fresh, reused, "fresh and reused runtimes diverged");
 }
 
 #[test]
@@ -229,4 +204,28 @@ fn fleet_bin_rejects_arguments_it_would_ignore() {
     let out = fleet(&["2", "1", "--scenario", "1", "--seed", "7"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains("report digest"));
+}
+
+#[test]
+fn fleet_bin_takes_a_chunk_past_the_u32_range_as_the_whole_fleet() {
+    let digest = |chunk: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fleet"))
+            .args(["4", "1", chunk])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "chunk {chunk}: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let (_, tail) = stdout.split_once("report digest ").expect("digest line");
+        tail.split_whitespace().next().unwrap().to_string()
+    };
+    assert_eq!(digest("4294967296"), digest("4"));
+}
+
+#[test]
+fn a_chunk_larger_than_the_fleet_is_one_unit_of_the_whole_fleet() {
+    // 2^32 narrowed to u32 would be 0; 2^32 + 1 would be 1.
+    let whole = Pool::with(1, |pool| run_fleet_with(4, 4, pool, home_spec));
+    for chunk in [1 << 32, (1 << 32) + 1] {
+        assert_eq!(Pool::with(1, |pool| run_fleet_with(4, chunk, pool, home_spec)), whole);
+    }
 }

@@ -36,6 +36,7 @@ fn streamed_fleet_memory_is_flat_and_under_the_ceiling() {
 
     assert_eq!(small.homes, 500);
     assert_eq!(large.homes, 5000);
+    assert_eq!(format!("{:016x}", large.digest()), "482e29d59e55b196", "5000-home digest drifted");
     assert!(large.upload_gain.min > 1.0, "worst upload gain {}", large.upload_gain.min);
 
     assert!(
@@ -62,7 +63,7 @@ fn streamed_fleet_memory_is_flat_and_under_the_ceiling() {
         run_fleet_mode(5000, DEFAULT_CHUNK, pool, home_spec, RuntimeMode::Reuse)
     });
     let peak_after_reuse = peak_rss_bytes().unwrap();
-    assert_eq!(reused.homes, 5000);
+    assert_eq!(reused, large, "one reused runtime changed the 5000-home result");
     assert!(
         peak_after_reuse <= peak_after_small + slack,
         "single reused runtime leaked across homes: {:.1} MiB after warm-up, \

@@ -72,6 +72,16 @@ impl DeviceProxy {
         self.quota.lock().unwrap().should_advertise()
     }
 
+    /// The beacon this phone sends now: its name, the LAN address its
+    /// proxy listens on, and its remaining quota `A(t)`.
+    pub fn advertisement(&self, lan_addr: SocketAddr) -> Advertisement {
+        Advertisement {
+            name: self.name.clone(),
+            proxy_addr: lan_addr,
+            available_bytes: self.available_bytes(),
+        }
+    }
+
     /// Day boundary: grant a fresh daily allowance and forget the old
     /// day's usage. An exhausted device becomes advertisable again —
     /// the §6 loop's "stops announcing until the next day".
@@ -178,11 +188,6 @@ impl DeviceProxy {
             let mut announcer = None;
             loop {
                 if self.should_advertise() {
-                    let ad = Advertisement {
-                        name: self.name.clone(),
-                        proxy_addr: lan_addr,
-                        available_bytes: self.available_bytes(),
-                    };
                     let sender = match &announcer {
                         Some(sender) => sender,
                         None => match Announcer::bind(discovery_addr).await {
@@ -190,7 +195,7 @@ impl DeviceProxy {
                             Err(_) => break,
                         },
                     };
-                    if sender.announce(&ad).await.is_err() {
+                    if sender.announce(&self.advertisement(lan_addr)).await.is_err() {
                         break;
                     }
                 }

@@ -14,9 +14,10 @@
 //!   the phone count, their 3G rate curve, the hour and the scenario;
 //!   the Wi-Fi medium, the 3GOL allowance and the VoD prebuffer +
 //!   photo-upload workload are the same in every home;
-//! * [`Home::run`] spins up the origin, the device proxies (with
-//!   discovery announcers), and the client-side HLS proxy, drives the
-//!   workload, and reports the per-home speedups over ADSL alone.
+//! * [`Home::run`] brings the home up once — the origin, the
+//!   discovery listener, the device proxies and the shared media —
+//!   then drives either workload over it and reports the per-home
+//!   speedups over ADSL alone.
 //!
 //! Every throttle a home's transfers cross is *shared*: the ADSL
 //! down/up buckets are one pair per home ([`PathTarget::SharedGateway`])
@@ -326,6 +327,14 @@ impl Tier {
             Tier::Premium => 1.0e6,
         }
     }
+
+    /// Seconds the line alone needs to carry `bytes`, up or down: the
+    /// baseline every gain over ADSL (the paper's "power boost") is
+    /// the ratio against.
+    pub(crate) fn adsl_alone_secs(self, bytes: f64, up: bool) -> f64 {
+        let bps = if up { self.adsl_up_bps() } else { self.adsl_down_bps() };
+        bytes * 8.0 / bps
+    }
 }
 
 /// What varies between homes: the line, the phones, their 3G, the
@@ -505,6 +514,11 @@ impl HomeReport {
             scenario: ScenarioDigest::empty(),
         }
     }
+
+    /// The empty report for `spec`'s home, with its cell and start hour.
+    pub(crate) fn base(spec: &HomeSpec) -> HomeReport {
+        HomeReport { cell: spec.g3.cell, hour: spec.hour, ..HomeReport::empty(spec.index) }
+    }
 }
 
 /// One home, ready to run its workload. See [`Home::run`].
@@ -528,69 +542,34 @@ impl Home {
         }
     }
 
-    /// The original fixed script (see [`Scenario::PaperDefault`]).
+    /// The original fixed script (see [`Scenario::PaperDefault`]) as a
+    /// driver over [`HomeRig`]: free-running 100 ms announcers, the
+    /// client-side HLS proxy, and a photo upload racing the VoD
+    /// prebuffer.
     async fn run_paper(spec: &HomeSpec) -> Result<HomeReport, HttpError> {
-        let net = HomeNet::new((spec.index % (1 << 16)) as u16);
+        let rig = HomeRig::up(spec, |_| ALLOWANCE_BYTES).await?;
 
-        // Origin, behind the home's view of the WAN.
-        let ladder = vec![VideoQuality::new("Q1", VIDEO_BPS)];
-        let origin = Arc::new(OriginServer::new(&ladder, VIDEO_SECS, SEGMENT_SECS));
-        let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
-
-        // The home's broadcast domain: a discovery listener the
-        // announcers inside this subnet reach, and nobody else.
-        let discovery = Discovery::bind(&net.discovery().to_string()).await?;
-        let discovery_addr = discovery.local_addr()?;
-
-        // Device proxies with quota-gated announcers: every phone's 3G
-        // rates come from the spec's capacity source at the home's
-        // hour — a private pipe or a per-phone share of a shared cell.
-        let (g3_down, g3_up) = spec.g3.phone_limits(spec.hour as f64);
-        for i in 0..spec.devices {
-            let device = Arc::new(DeviceProxy::new(
-                format!("home{}-phone-{i}", spec.index),
-                origin_addr,
-                g3_down,
-                g3_up,
-                ALLOWANCE_BYTES,
-            ));
-            let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
-            device.spawn_announcer(discovery_addr, lan_addr, Duration::from_millis(100));
+        // Quota-gated announcers; browse until every phone has
+        // advertised (quota > 0 at start, so all of them will; virtual
+        // time makes this deterministic).
+        for (device, lan_addr) in &rig.devices {
+            device.clone().spawn_announcer(
+                rig.discovery_addr,
+                *lan_addr,
+                Duration::from_millis(100),
+            );
         }
-
-        // Browse until every phone has advertised (quota > 0 at start,
-        // so all of them will; virtual time makes this deterministic).
-        while discovery.admissible().len() < spec.devices {
+        while rig.discovery.admissible().len() < spec.devices {
             tokio::time::sleep(Duration::from_millis(10)).await;
         }
 
-        // The home's shared media.
-        let wifi = SharedRateLimit::from_bps(WIFI_BPS as u64);
-        let adsl_down = SharedRateLimit::from_bps(spec.tier.adsl_down_bps() as u64);
-        let adsl_up = SharedRateLimit::from_bps(spec.tier.adsl_up_bps() as u64);
-        let make_paths = || -> Vec<PathTarget> {
-            let mut paths = vec![PathTarget::SharedGateway {
-                origin: origin_addr,
-                down: adsl_down.clone(),
-                up: adsl_up.clone(),
-            }];
-            paths.extend(
-                discovery
-                    .admissible()
-                    .into_iter()
-                    .map(|ad| PathTarget::Device { addr: ad.proxy_addr }),
-            );
-            paths
-        };
-
-        // The client-side HLS proxy the player points at.
-        let hls =
-            Arc::new(HlsProxy::new(ThreegolClient::new(make_paths()).with_wifi(wifi.clone())));
-        let (proxy_addr, _proxy_task) = hls.clone().spawn(&net.client_proxy().to_string()).await?;
-
-        // The uploader is a second client-component app in the same
-        // home: its own scheduler, but the same shared media.
-        let uploader = ThreegolClient::new(make_paths()).with_wifi(wifi.clone());
+        // The client-side HLS proxy the player points at, and the
+        // uploader: a second client-component app in the same home,
+        // with its own scheduler over the same shared media.
+        let hls = Arc::new(HlsProxy::new(rig.client()));
+        let (proxy_addr, _proxy_task) =
+            hls.clone().spawn(&rig.net.client_proxy().to_string()).await?;
+        let uploader = rig.client();
 
         // Drive the two transactions concurrently: the upload runs as
         // its own task while this task plays the VoD prebuffer.
@@ -617,24 +596,100 @@ impl Home {
         // byte tallies are complete — free under virtual time.
         hls.wait_idle().await;
 
-        // Gains against the home's ADSL line carrying the same bytes
-        // alone (the paper's "power boost" ratio).
-        let vod_baseline = vod_bytes * 8.0 / spec.tier.adsl_down_bps();
-        let upload_baseline = upload_bytes * 8.0 / spec.tier.adsl_up_bps();
         Ok(HomeReport {
-            cell: spec.g3.cell,
-            hour: spec.hour,
             vod_bytes,
             vod_secs,
-            vod_gain: vod_baseline / vod_secs,
+            vod_gain: spec.tier.adsl_alone_secs(vod_bytes, false) / vod_secs,
             upload_bytes,
             upload_secs,
-            upload_gain: upload_baseline / upload_secs,
+            upload_gain: spec.tier.adsl_alone_secs(upload_bytes, true) / upload_secs,
             vod_device_bytes: hls.device_bytes(),
             upload_device_bytes: upload_report.bytes_per_path.iter().skip(1).sum(),
             upload_wasted_bytes: upload_report.wasted_bytes,
-            ..HomeReport::empty(spec.index)
+            ..HomeReport::base(spec)
         })
+    }
+}
+
+/// A home brought up once, under either workload driver: the origin
+/// behind the home's view of the WAN, the discovery listener that is
+/// the home's broadcast domain, one device proxy per phone at the
+/// spec's start-hour [`CellProfile`] rates, and the shared Wi-Fi and
+/// ADSL buckets (one per home — links persist across sessions and
+/// days). What beacons, and what runs over [`HomeRig::client`], is the
+/// driver's: the paper script or the scenario engine.
+pub(crate) struct HomeRig {
+    /// The home's address namespace.
+    pub(crate) net: HomeNet,
+    /// The discovery listener, holding the admissible set Φ.
+    pub(crate) discovery: Discovery,
+    /// Where announcers send: the listener's bound address.
+    pub(crate) discovery_addr: SocketAddr,
+    /// Every phone with its LAN listener address, in device order.
+    pub(crate) devices: Vec<(Arc<DeviceProxy>, SocketAddr)>,
+    origin_addr: SocketAddr,
+    wifi: SharedRateLimit,
+    adsl_down: SharedRateLimit,
+    adsl_up: SharedRateLimit,
+}
+
+impl HomeRig {
+    /// Bring up `spec`'s home; phone `i` starts with an allowance of
+    /// `allowance(i)` bytes.
+    pub(crate) async fn up(
+        spec: &HomeSpec,
+        allowance: impl Fn(usize) -> f64,
+    ) -> Result<HomeRig, HttpError> {
+        let net = HomeNet::new((spec.index % (1 << 16)) as u16);
+        let ladder = vec![VideoQuality::new("Q1", VIDEO_BPS)];
+        let origin = Arc::new(OriginServer::new(&ladder, VIDEO_SECS, SEGMENT_SECS));
+        let (origin_addr, _origin_task) = origin.spawn(&net.origin().to_string()).await?;
+        let discovery = Discovery::bind(&net.discovery().to_string()).await?;
+        let discovery_addr = discovery.local_addr()?;
+
+        // Every phone's 3G rates come from the spec's profile at the
+        // start hour — a private pipe or a per-phone share of a cell.
+        let (g3_down, g3_up) = spec.g3.phone_limits(spec.hour as f64);
+        let mut devices = Vec::with_capacity(spec.devices);
+        for i in 0..spec.devices {
+            let device = Arc::new(DeviceProxy::new(
+                format!("home{}-phone-{i}", spec.index),
+                origin_addr,
+                g3_down,
+                g3_up,
+                allowance(i),
+            ));
+            let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
+            devices.push((device, lan_addr));
+        }
+
+        Ok(HomeRig {
+            net,
+            discovery,
+            discovery_addr,
+            devices,
+            origin_addr,
+            wifi: SharedRateLimit::from_bps(WIFI_BPS as u64),
+            adsl_down: SharedRateLimit::from_bps(spec.tier.adsl_down_bps() as u64),
+            adsl_up: SharedRateLimit::from_bps(spec.tier.adsl_up_bps() as u64),
+        })
+    }
+
+    /// A client over the ADSL gateway plus every phone admissible right
+    /// now, on the home's Wi-Fi.
+    pub(crate) fn client(&self) -> ThreegolClient {
+        let mut paths = vec![PathTarget::SharedGateway {
+            origin: self.origin_addr,
+            down: self.adsl_down.clone(),
+            up: self.adsl_up.clone(),
+        }];
+        paths.extend(
+            self.discovery
+                .admissible()
+                .into_iter()
+                .map(|ad| PathTarget::Device { addr: ad.proxy_addr }),
+        );
+        ThreegolClient::new(paths).with_wifi(self.wifi.clone())
     }
 }
 

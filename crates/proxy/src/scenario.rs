@@ -11,6 +11,11 @@
 //! ADSL-only), and every 30-day month boundary refits the estimator
 //! from the accrued free-capacity history.
 //!
+//! The home comes up through the same bring-up as the paper script —
+//! origin, discovery listener, one device proxy per phone, shared
+//! Wi-Fi and ADSL; the engine adds one beacon socket per phone and
+//! starts every VoD or upload session with the same step.
+//!
 //! Three design points keep a week of virtual time as cheap as the
 //! single-shot script, and byte-reproducible:
 //!
@@ -26,27 +31,20 @@
 //!   `i64` fixed-point slots ([`crate::home::SCENARIO_FP_SCALE`]) so
 //!   the fleet digest merges them exactly associatively.
 
-use std::net::SocketAddr;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use tokio::time::Instant;
 
 use threegol_caps::{AllowanceEstimator, LiveAllowance};
-use threegol_hls::VideoQuality;
 use threegol_http::HttpError;
 use threegol_traces::scenario::{device_free_history, home_day, HomeEvent, ScenarioConfig};
 
-use crate::client::{PathTarget, ThreegolClient};
 use crate::device::DeviceProxy;
-use crate::discovery::{Advertisement, Announcer, Discovery};
+use crate::discovery::Announcer;
 use crate::home::{
-    bytes_to_fp, photo_body, HomeNet, HomeReport, HomeSpec, Scenario, MAX_SCENARIO_DAYS,
-    SEGMENT_SECS, VIDEO_BPS, VIDEO_SECS, WIFI_BPS,
+    bytes_to_fp, photo_body, HomeReport, HomeRig, HomeSpec, Scenario, MAX_SCENARIO_DAYS,
 };
-use crate::origin::OriginServer;
-use crate::throttle::SharedRateLimit;
 
 const DAY_SECS: f64 = 86_400.0;
 
@@ -85,55 +83,32 @@ pub async fn run_with_config(
         (1..=MAX_SCENARIO_DAYS as u16).contains(&days),
         "scenario must run 1..={MAX_SCENARIO_DAYS} days, got {days}"
     );
-    let net = HomeNet::new((spec.index % (1 << 16)) as u16);
 
-    // Origin and discovery, exactly like the paper script.
-    let ladder = vec![VideoQuality::new("Q1", VIDEO_BPS)];
-    let origin = Arc::new(OriginServer::new(&ladder, VIDEO_SECS, SEGMENT_SECS));
-    let (origin_addr, _origin_task) = origin.clone().spawn(&net.origin().to_string()).await?;
-    let discovery = Discovery::bind(&net.discovery().to_string()).await?;
-    let discovery_addr = discovery.local_addr()?;
-
-    // Phones. Each starts with the live estimator's day-1 allowance
-    // fit on its seeded free-capacity history; the months the run will
+    // Each phone starts with the live estimator's day-1 allowance fit
+    // on its seeded free-capacity history; the months the run will
     // live through are pre-drawn from the same prefix-stable series so
     // month-boundary refits replay numbers the offline backtest can
     // reproduce exactly.
     let estimator = AllowanceEstimator::paper();
     let lived_months = days as usize / 30 + 1;
-    let (g3_down0, g3_up0) = spec.g3.phone_limits(spec.hour as f64);
-    let mut devices: Vec<Arc<DeviceProxy>> = Vec::with_capacity(spec.devices);
-    let mut lan_addrs: Vec<SocketAddr> = Vec::with_capacity(spec.devices);
-    let mut announcers: Vec<Announcer> = Vec::with_capacity(spec.devices);
     let mut allowances: Vec<LiveAllowance> = Vec::with_capacity(spec.devices);
     let mut future_months: Vec<Vec<f64>> = Vec::with_capacity(spec.devices);
     for i in 0..spec.devices {
-        let full = device_free_history(config, spec.index, i, config.history_months + lived_months);
-        let live = LiveAllowance::new(estimator, full[..config.history_months].to_vec());
-        let device = Arc::new(DeviceProxy::new(
-            format!("home{}-phone-{i}", spec.index),
-            origin_addr,
-            g3_down0,
-            g3_up0,
-            live.daily_allowance(),
-        ));
-        let (lan_addr, _task) = device.clone().spawn(&net.device(i).to_string()).await?;
-        devices.push(device);
-        lan_addrs.push(lan_addr);
-        announcers.push(Announcer::bind(discovery_addr).await?);
-        future_months.push(full[config.history_months..].to_vec());
-        allowances.push(live);
+        let mut past =
+            device_free_history(config, spec.index, i, config.history_months + lived_months);
+        future_months.push(past.split_off(config.history_months));
+        allowances.push(LiveAllowance::new(estimator, past));
+    }
+    let mut granted_today: Vec<f64> = allowances.iter().map(|a| a.daily_allowance()).collect();
+    let rig = HomeRig::up(spec, |i| granted_today[i]).await?;
+    // One beacon socket per phone for the whole run, on the discovery
+    // IP so beacons stay inside the home's subnet.
+    let mut announcers: Vec<Announcer> = Vec::with_capacity(spec.devices);
+    for _ in 0..spec.devices {
+        announcers.push(Announcer::bind(rig.discovery_addr).await?);
     }
 
-    // The home's shared media (one pair of ADSL buckets, one Wi-Fi
-    // medium for the whole run — links persist across days).
-    let wifi = SharedRateLimit::from_bps(WIFI_BPS as u64);
-    let adsl_down = SharedRateLimit::from_bps(spec.tier.adsl_down_bps() as u64);
-    let adsl_up = SharedRateLimit::from_bps(spec.tier.adsl_up_bps() as u64);
-
-    let mut report = HomeReport::empty(spec.index);
-    report.cell = spec.g3.cell;
-    report.hour = spec.hour;
+    let mut report = HomeReport::base(spec);
     report.days = days;
     report.scenario.homes = 1;
     report.scenario.device_days = spec.devices as u64 * days as u64;
@@ -145,7 +120,6 @@ pub async fn run_with_config(
     let start_offset_secs = spec.hour as f64 * 3600.0;
 
     let mut present = vec![true; spec.devices];
-    let mut granted_today: Vec<f64> = allowances.iter().map(|a| a.daily_allowance()).collect();
     report.scenario.granted_fp += granted_today.iter().map(|&g| bytes_to_fp(g)).sum::<i64>();
     let mut month_cursor = 0usize;
     let mut vod_baseline_secs = 0.0;
@@ -158,14 +132,14 @@ pub async fn run_with_config(
             // grant today's allowance (re-arming exhausted phones).
             advance_to(&epoch, day as f64 * DAY_SECS - start_offset_secs).await;
             let month_end = day % 30 == 0;
-            for i in 0..spec.devices {
-                close_device_day(&mut report, &devices[i], granted_today[i]);
+            for (i, (device, _)) in rig.devices.iter().enumerate() {
+                close_device_day(&mut report, device, granted_today[i]);
                 if month_end {
                     allowances[i].finish_month(future_months[i][month_cursor]);
                 }
                 granted_today[i] = allowances[i].daily_allowance();
                 report.scenario.granted_fp += bytes_to_fp(granted_today[i]);
-                devices[i].roll_over(granted_today[i]);
+                device.roll_over(granted_today[i]);
             }
             if month_end {
                 month_cursor += 1;
@@ -178,75 +152,71 @@ pub async fn run_with_config(
                 continue; // day-0 events before the start hour
             }
             advance_to(&epoch, offset).await;
-            match ev.event {
-                HomeEvent::Leave { device } => present[device] = false,
-                HomeEvent::Join { device } => present[device] = true,
-                HomeEvent::Vod => {
-                    let day_idx = day as usize;
-                    let hour_idx = ((ev.time_secs / 3600.0) as usize).min(23);
-                    let paths = session_paths(
-                        spec,
-                        ev.time_secs / 3600.0,
-                        origin_addr,
-                        &adsl_down,
-                        &adsl_up,
-                        &devices,
-                        &lan_addrs,
-                        &announcers,
-                        &present,
-                        &discovery,
-                    )
-                    .await;
-                    report.scenario.sessions += 1;
-                    if paths.len() == 1 {
-                        report.scenario.adsl_only_sessions += 1;
-                    }
-                    let client = ThreegolClient::new(paths).with_wifi(wifi.clone());
-                    let t0 = Instant::now();
+            let photos = match ev.event {
+                HomeEvent::Leave { device } => {
+                    present[device] = false;
+                    continue;
+                }
+                HomeEvent::Join { device } => {
+                    present[device] = true;
+                    continue;
+                }
+                HomeEvent::Vod => None,
+                HomeEvent::Upload { photos } => Some(photos),
+            };
+
+            // Session start: retune every 3G bearer to this hour's cell
+            // share (all of them before any beacon), beacon for every
+            // present, quota-positive phone, give the datagrams a beat
+            // to land, and take the admissible set Φ. A phone that left
+            // the Wi-Fi or exhausted its allowance simply isn't
+            // announced, so its discovery entry ages out (3 s TTL) and
+            // the session degrades to the remaining paths — ADSL-only
+            // in the worst case.
+            let (g3_down, g3_up) = spec.g3.phone_limits(ev.time_secs / 3600.0);
+            for (device, _) in &rig.devices {
+                device.set_rates(g3_down, g3_up);
+            }
+            for (i, (device, lan_addr)) in rig.devices.iter().enumerate() {
+                if present[i] && device.should_advertise() {
+                    let _ = announcers[i].announce(&device.advertisement(*lan_addr)).await;
+                }
+            }
+            tokio::time::sleep(Duration::from_millis(10)).await;
+            let client = rig.client();
+            report.scenario.sessions += 1;
+            if client.paths.len() == 1 {
+                report.scenario.adsl_only_sessions += 1;
+            }
+
+            let day_idx = day as usize;
+            let hour_idx = ((ev.time_secs / 3600.0) as usize).min(23);
+            let t0 = Instant::now();
+            match photos {
+                None => {
                     let (_playlist, bodies, tr) = client.fetch_hls("/q1/index.m3u8").await?;
                     let secs = t0.elapsed().as_secs_f64();
                     let bytes: f64 = bodies.iter().map(|b| b.len() as f64).sum();
                     report.vod_bytes += bytes;
                     report.vod_secs += secs;
-                    vod_baseline_secs += bytes * 8.0 / spec.tier.adsl_down_bps();
+                    vod_baseline_secs += spec.tier.adsl_alone_secs(bytes, false);
                     let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
                     report.vod_device_bytes += onload;
                     report.scenario.day_dl_fp[day_idx] += bytes_to_fp(onload);
                     report.scenario.hour_dl_fp[hour_idx] += bytes_to_fp(onload);
                 }
-                HomeEvent::Upload { photos } => {
-                    let day_idx = day as usize;
-                    let hour_idx = ((ev.time_secs / 3600.0) as usize).min(23);
-                    let paths = session_paths(
-                        spec,
-                        ev.time_secs / 3600.0,
-                        origin_addr,
-                        &adsl_down,
-                        &adsl_up,
-                        &devices,
-                        &lan_addrs,
-                        &announcers,
-                        &present,
-                        &discovery,
-                    )
-                    .await;
-                    report.scenario.sessions += 1;
-                    if paths.len() == 1 {
-                        report.scenario.adsl_only_sessions += 1;
-                    }
-                    let client = ThreegolClient::new(paths).with_wifi(wifi.clone());
+                Some(photos) => {
                     let batch: Vec<(String, Bytes)> = (0..photos)
                         .map(|i| {
                             (format!("home{}-d{day}-IMG_{i:04}.jpg", spec.index), photo_body(i))
                         })
                         .collect();
                     let bytes: f64 = batch.iter().map(|(_, d)| d.len() as f64).sum();
-                    let t0 = Instant::now();
                     let tr = client.upload_photos(batch).await?;
                     let secs = t0.elapsed().as_secs_f64();
                     report.upload_bytes += bytes;
                     report.upload_secs += secs;
-                    upload_baseline_secs += bytes * 8.0 / spec.tier.adsl_up_bps();
+                    upload_baseline_secs += spec.tier.adsl_alone_secs(bytes, true);
                     let onload: f64 = tr.bytes_per_path.iter().skip(1).sum();
                     report.upload_device_bytes += onload;
                     report.upload_wasted_bytes += tr.wasted_bytes;
@@ -258,8 +228,8 @@ pub async fn run_with_config(
     }
 
     // The last day's books (no further roll-over to trigger them).
-    for i in 0..spec.devices {
-        close_device_day(&mut report, &devices[i], granted_today[i]);
+    for (i, (device, _)) in rig.devices.iter().enumerate() {
+        close_device_day(&mut report, device, granted_today[i]);
     }
 
     // Gains against the ADSL line carrying the same bytes alone,
@@ -271,56 +241,14 @@ pub async fn run_with_config(
     Ok(report)
 }
 
-/// Build a session's path set: retune the 3G bearers to this hour's
-/// cell share, beacon for every present, quota-positive phone, give the
-/// datagrams a beat to land, and read the admissible set Φ. A phone
-/// that left the Wi-Fi or exhausted its allowance simply isn't
-/// announced, so its discovery entry ages out (3 s TTL) and transfers
-/// degrade to the remaining paths — ADSL-only in the worst case.
-#[allow(clippy::too_many_arguments)]
-async fn session_paths(
-    spec: &HomeSpec,
-    hour_frac: f64,
-    origin_addr: SocketAddr,
-    adsl_down: &SharedRateLimit,
-    adsl_up: &SharedRateLimit,
-    devices: &[Arc<DeviceProxy>],
-    lan_addrs: &[SocketAddr],
-    announcers: &[Announcer],
-    present: &[bool],
-    discovery: &Discovery,
-) -> Vec<PathTarget> {
-    let (g3_down, g3_up) = spec.g3.phone_limits(hour_frac);
-    for device in devices {
-        device.set_rates(g3_down, g3_up);
-    }
-    for i in 0..devices.len() {
-        if present[i] && devices[i].should_advertise() {
-            let ad = Advertisement {
-                name: devices[i].name.clone(),
-                proxy_addr: lan_addrs[i],
-                available_bytes: devices[i].available_bytes(),
-            };
-            let _ = announcers[i].announce(&ad).await;
-        }
-    }
-    tokio::time::sleep(Duration::from_millis(10)).await;
-    let mut paths = vec![PathTarget::SharedGateway {
-        origin: origin_addr,
-        down: adsl_down.clone(),
-        up: adsl_up.clone(),
-    }];
-    paths.extend(
-        discovery.admissible().into_iter().map(|ad| PathTarget::Device { addr: ad.proxy_addr }),
-    );
-    paths
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discovery::Discovery;
     use crate::home::{fp_to_bytes, Home, ScenarioDigest, Tier};
+    use crate::origin::OriginServer;
     use crate::throttle::RateLimit;
+    use std::sync::Arc;
     use threegol_http::codec::HttpStream;
     use threegol_http::Request;
     use tokio::net::TcpStream;
@@ -398,12 +326,7 @@ mod tests {
             let (lan_addr, _h2) = device.clone().spawn("127.0.0.1:0").await.unwrap();
             let announcer = Announcer::bind(discovery_addr).await.unwrap();
 
-            let ad = |device: &DeviceProxy| Advertisement {
-                name: device.name.clone(),
-                proxy_addr: lan_addr,
-                available_bytes: device.available_bytes(),
-            };
-            announcer.announce(&ad(&device)).await.unwrap();
+            announcer.announce(&device.advertisement(lan_addr)).await.unwrap();
             tokio::time::sleep(Duration::from_millis(10)).await;
             assert_eq!(discovery.admissible().len(), 1, "armed phone advertises");
 
@@ -425,7 +348,7 @@ mod tests {
             // Day boundary: a fresh grant re-arms announcements.
             device.roll_over(40_000.0);
             assert!(device.should_advertise());
-            announcer.announce(&ad(&device)).await.unwrap();
+            announcer.announce(&device.advertisement(lan_addr)).await.unwrap();
             tokio::time::sleep(Duration::from_millis(10)).await;
             assert_eq!(discovery.admissible().len(), 1, "re-announced next day");
         });
