@@ -113,6 +113,24 @@ impl MediaPlaylist {
     pub fn duration_secs(&self) -> f64 {
         self.entries.iter().map(|(d, _)| d).sum()
     }
+
+    /// The request target of each segment, in playout order, for a
+    /// playlist fetched from `playlist_target`. An absolute URI
+    /// (`/...`) is used as is; a relative one is resolved against the
+    /// playlist's directory.
+    pub fn segment_targets<'a>(
+        &'a self,
+        playlist_target: &'a str,
+    ) -> impl Iterator<Item = String> + 'a {
+        let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
+        self.entries.iter().map(move |(_, uri)| {
+            if uri.starts_with('/') {
+                uri.clone()
+            } else {
+                format!("{base}/{uri}")
+            }
+        })
+    }
 }
 
 /// A master playlist: variant renditions with bandwidth attributes.
@@ -226,6 +244,17 @@ mod tests {
         let text = "#EXTM3U\n#EXT-X-FOO:bar\n#EXTINF:10.0,\nseg0.ts\n#EXT-X-ENDLIST\n";
         let pl = MediaPlaylist::parse(text).unwrap();
         assert_eq!(pl.entries, vec![(10.0, "seg0.ts".to_string())]);
+    }
+
+    #[test]
+    fn segment_targets_resolve_against_the_playlist_directory() {
+        let text = "#EXTM3U\n#EXTINF:2,\nseg0.ts\n#EXTINF:2,\n/other/seg1.ts\n#EXT-X-ENDLIST\n";
+        let pl = MediaPlaylist::parse(text).unwrap();
+        let targets: Vec<String> = pl.segment_targets("/q1/index.m3u8").collect();
+        assert_eq!(targets, ["/q1/seg0.ts", "/other/seg1.ts"]);
+        // A playlist at the root resolves relative URIs to the root.
+        let targets: Vec<String> = pl.segment_targets("/index.m3u8").collect();
+        assert_eq!(targets, ["/seg0.ts", "/other/seg1.ts"]);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! [`HttpStream`] wraps any `AsyncRead + AsyncWrite` transport and
 //! carries the read buffer across messages, so a connection can serve
 //! sequential request/response exchanges (the prototype's proxies keep
-//! connections alive per transfer). The free functions are one-shot
-//! conveniences over a fresh buffer.
+//! connections alive per transfer).
 //!
 //! Heads and bodies are split: `read_request_head`/`read_response_head`
 //! return the parsed head plus a [`Body`] handle. The handle either
@@ -186,17 +185,6 @@ pub enum Body {
     Full(Bytes),
     /// The body is still on the wire, framed as described.
     Stream(BodyFraming),
-}
-
-impl Body {
-    /// The framing this body had (or would have) on the wire.
-    pub fn framing(&self) -> BodyFraming {
-        match self {
-            Body::Full(b) if b.is_empty() => BodyFraming::None,
-            Body::Full(b) => BodyFraming::Length(b.len()),
-            Body::Stream(f) => *f,
-        }
-    }
 }
 
 /// Derive the body framing from a parsed header block. Mirrors the
@@ -742,109 +730,6 @@ fn find_byte(haystack: &[u8], byte: u8) -> Option<usize> {
     haystack.iter().position(|&b| b == byte)
 }
 
-/// One-shot: read a request from `reader` (fresh buffer).
-pub async fn read_request<R: AsyncRead + Unpin>(reader: R) -> Result<Option<Request>, HttpError> {
-    HttpStream::new(ReadOnly(reader)).read_request().await
-}
-
-/// One-shot: read a response from `reader`.
-pub async fn read_response<R: AsyncRead + Unpin>(reader: R) -> Result<Response, HttpError> {
-    HttpStream::new(ReadOnly(reader)).read_response().await
-}
-
-/// One-shot: write a request to `writer`.
-pub async fn write_request<W: AsyncWrite + Unpin>(
-    writer: W,
-    req: &Request,
-) -> Result<(), HttpError> {
-    HttpStream::new(WriteOnly(writer)).write_request(req).await
-}
-
-/// One-shot: write a response to `writer`.
-pub async fn write_response<W: AsyncWrite + Unpin>(
-    writer: W,
-    resp: &Response,
-) -> Result<(), HttpError> {
-    HttpStream::new(WriteOnly(writer)).write_response(resp).await
-}
-
-/// Adapter giving a read-only transport a no-op write half.
-struct ReadOnly<R>(R);
-
-impl<R: AsyncRead + Unpin> AsyncRead for ReadOnly<R> {
-    fn poll_read(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        buf: &mut tokio::io::ReadBuf<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.0).poll_read(cx, buf)
-    }
-}
-
-impl<R: Unpin> AsyncWrite for ReadOnly<R> {
-    fn poll_write(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-        _buf: &[u8],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        std::task::Poll::Ready(Err(std::io::Error::other("read-only transport")))
-    }
-    fn poll_flush(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::task::Poll::Ready(Ok(()))
-    }
-    fn poll_shutdown(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::task::Poll::Ready(Ok(()))
-    }
-}
-
-/// Adapter giving a write-only transport an EOF read half.
-struct WriteOnly<W>(W);
-
-impl<W: Unpin> AsyncRead for WriteOnly<W> {
-    fn poll_read(
-        self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-        _buf: &mut tokio::io::ReadBuf<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::task::Poll::Ready(Ok(())) // immediate EOF
-    }
-}
-
-impl<W: AsyncWrite + Unpin> AsyncWrite for WriteOnly<W> {
-    fn poll_write(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        buf: &[u8],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        std::pin::Pin::new(&mut self.0).poll_write(cx, buf)
-    }
-    fn poll_flush(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.0).poll_flush(cx)
-    }
-    fn poll_shutdown(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<std::io::Result<()>> {
-        std::pin::Pin::new(&mut self.0).poll_shutdown(cx)
-    }
-    fn poll_write_vectored(
-        mut self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-        bufs: &[IoSlice<'_>],
-    ) -> std::task::Poll<std::io::Result<usize>> {
-        std::pin::Pin::new(&mut self.0).poll_write_vectored(cx, bufs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -995,20 +880,6 @@ mod tests {
         });
         let mut s = HttpStream::new(server);
         assert!(matches!(s.read_request().await, Err(HttpError::HeadersTooLarge)));
-    }
-
-    #[tokio::test]
-    async fn one_shot_helpers() {
-        let mut buf = Vec::new();
-        let req = Request::post("/p", "text/plain", Bytes::from_static(b"hi"));
-        write_request(&mut buf, &req).await.unwrap();
-        let got = read_request(&buf[..]).await.unwrap().unwrap();
-        assert_eq!(got.body, req.body);
-
-        let mut buf = Vec::new();
-        write_response(&mut buf, &Response::not_found()).await.unwrap();
-        let got = read_response(&buf[..]).await.unwrap();
-        assert_eq!(got.status, 404);
     }
 
     #[tokio::test]

@@ -10,9 +10,11 @@
 //! side to the 3G side. This crate provides exactly that subset,
 //! implemented carefully:
 //!
-//! * request/response parsing with incremental buffered reads,
-//!   case-insensitive headers, `Content-Length` and chunked bodies;
-//! * serialization of requests and responses;
+//! * [`HttpStream`], one buffered connection: request/response heads
+//!   parsed with incremental reads, case-insensitive headers,
+//!   `Content-Length`, chunked and close-delimited bodies that are
+//!   either materialized or piped through, and serialization of
+//!   whole messages or of heads whose body follows;
 //! * `multipart/form-data` encoding/decoding for photo uploads.
 //!
 //! Hard limits guard against malformed peers: 64 KiB of headers,
@@ -25,10 +27,7 @@ pub mod error;
 pub mod headers;
 pub mod multipart;
 
-pub use codec::{
-    read_request, read_response, write_request, write_response, Body, BodyFraming, HttpStream,
-    Request, RequestHead, Response, ResponseHead,
-};
+pub use codec::{Body, BodyFraming, HttpStream, Request, RequestHead, Response, ResponseHead};
 pub use error::HttpError;
 pub use headers::Headers;
 pub use multipart::{encode_multipart, parse_multipart, Part};

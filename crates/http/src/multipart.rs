@@ -6,7 +6,7 @@
 //! pictures" (§4.1). The 3GOL uploader builds one multipart POST per
 //! photo and the scheduler spreads the POSTs over the paths.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::error::HttpError;
 
@@ -39,24 +39,24 @@ impl Part {
 pub fn encode_multipart(parts: &[Part], boundary: &str) -> Bytes {
     let mut out = BytesMut::new();
     for part in parts {
-        out.put_slice(format!("--{boundary}\r\n").as_bytes());
+        out.extend_from_slice(format!("--{boundary}\r\n").as_bytes());
         match &part.filename {
-            Some(f) => out.put_slice(
+            Some(f) => out.extend_from_slice(
                 format!(
                     "Content-Disposition: form-data; name=\"{}\"; filename=\"{}\"\r\n",
                     part.name, f
                 )
                 .as_bytes(),
             ),
-            None => out.put_slice(
+            None => out.extend_from_slice(
                 format!("Content-Disposition: form-data; name=\"{}\"\r\n", part.name).as_bytes(),
             ),
         }
-        out.put_slice(format!("Content-Type: {}\r\n\r\n", part.content_type).as_bytes());
-        out.put_slice(&part.data);
-        out.put_slice(b"\r\n");
+        out.extend_from_slice(format!("Content-Type: {}\r\n\r\n", part.content_type).as_bytes());
+        out.extend_from_slice(&part.data);
+        out.extend_from_slice(b"\r\n");
     }
-    out.put_slice(format!("--{boundary}--\r\n").as_bytes());
+    out.extend_from_slice(format!("--{boundary}--\r\n").as_bytes());
     out.freeze()
 }
 

@@ -29,25 +29,15 @@ use threegol_http::multipart::{encode_multipart, multipart_content_type, Part};
 use threegol_http::{HttpError, Request};
 use threegol_sched::{build, Command, Policy, TransactionSpec};
 
-use crate::throttle::{RateLimit, SharedRateLimit, ThrottledStream};
+use crate::throttle::{SharedRateLimit, ThrottledStream};
 
 /// Any bidirectional async byte stream.
-pub trait AsyncStream: AsyncRead + AsyncWrite + Unpin + Send {}
+trait AsyncStream: AsyncRead + AsyncWrite + Unpin + Send {}
 impl<T: AsyncRead + AsyncWrite + Unpin + Send> AsyncStream for T {}
 
 /// Where a path's transfers go.
 #[derive(Debug, Clone)]
 pub enum PathTarget {
-    /// Straight to the origin through the residential gateway; the
-    /// client applies the ADSL rate profile itself.
-    Gateway {
-        /// Origin address.
-        origin: SocketAddr,
-        /// ADSL downlink profile.
-        down: RateLimit,
-        /// ADSL uplink profile.
-        up: RateLimit,
-    },
     /// Straight to the origin through the residential gateway, drawing
     /// tokens from *shared* ADSL buckets — every connection a home
     /// opens over its DSL line contends for the same capacity, the way
@@ -77,21 +67,11 @@ impl PathTarget {
         wifi: Option<&SharedRateLimit>,
     ) -> std::io::Result<Box<dyn AsyncStream>> {
         let stream: Box<dyn AsyncStream> = match self {
-            PathTarget::Gateway { origin, down, up } => {
-                let tcp = TcpStream::connect(*origin).await?;
-                tcp.set_nodelay(true).ok();
-                Box::new(ThrottledStream::new(tcp, *down, *up))
-            }
             PathTarget::SharedGateway { origin, down, up } => {
                 let tcp = TcpStream::connect(*origin).await?;
-                tcp.set_nodelay(true).ok();
                 Box::new(ThrottledStream::with_shared(tcp, down.clone(), up.clone()))
             }
-            PathTarget::Device { addr } => {
-                let tcp = TcpStream::connect(*addr).await?;
-                tcp.set_nodelay(true).ok();
-                Box::new(tcp)
-            }
+            PathTarget::Device { addr } => Box::new(TcpStream::connect(*addr).await?),
         };
         Ok(match wifi {
             Some(medium) => {
@@ -203,18 +183,8 @@ impl ThreegolClient {
             .map_err(|_| HttpError::Malformed("non-UTF-8 playlist".into()))?;
         let playlist = MediaPlaylist::parse(text)
             .map_err(|e| HttpError::Malformed(format!("bad playlist: {e}")))?;
-        let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
-        let targets: Vec<Arc<str>> = playlist
-            .entries
-            .iter()
-            .map(|(_, uri)| {
-                if uri.starts_with('/') {
-                    Arc::from(uri.as_str())
-                } else {
-                    Arc::from(format!("{base}/{uri}"))
-                }
-            })
-            .collect();
+        let targets: Vec<Arc<str>> =
+            playlist.segment_targets(playlist_target).map(Arc::from).collect();
         let (bodies, report) = self.fetch(targets, None).await?;
         Ok((playlist, bodies, report))
     }
@@ -232,15 +202,26 @@ impl ThreegolClient {
         Ok(report)
     }
 
-    /// Drive the scheduler over real connections.
+    /// Drive the scheduler over real connections. An empty
+    /// transaction returns at once with a zeroed report.
     async fn run(
         &self,
         jobs: Vec<Job>,
         sizes: Option<Vec<f64>>,
         ready_tx: Option<mpsc::UnboundedSender<(usize, Bytes)>>,
     ) -> Result<(Vec<Bytes>, TransferReport), HttpError> {
-        assert!(!jobs.is_empty());
         let n_paths = self.paths.len();
+        if jobs.is_empty() {
+            let report = TransferReport {
+                total_secs: 0.0,
+                item_secs: Vec::new(),
+                bytes_per_path: vec![0.0; n_paths],
+                wasted_bytes: 0.0,
+                starts: 0,
+                aborts: 0,
+            };
+            return Ok((Vec::new(), report));
+        }
         let sizes = sizes.unwrap_or_else(|| vec![1.0; jobs.len()]);
         let mut sched = build(self.policy, TransactionSpec::new(sizes, n_paths));
 
@@ -463,14 +444,15 @@ mod tests {
     use super::*;
     use crate::device::DeviceProxy;
     use crate::origin::OriginServer;
+    use crate::throttle::RateLimit;
 
     async fn setup(adsl_bps: f64, phone_bps: Vec<f64>) -> (ThreegolClient, Arc<OriginServer>) {
         let origin = Arc::new(OriginServer::small_for_tests());
         let (origin_addr, _h) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-        let mut paths = vec![PathTarget::Gateway {
+        let mut paths = vec![PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit { rate_bps: adsl_bps, burst_bytes: 8192.0 },
-            up: RateLimit { rate_bps: adsl_bps / 4.0, burst_bytes: 8192.0 },
+            down: RateLimit { rate_bps: adsl_bps, burst_bytes: 8192.0 }.into(),
+            up: RateLimit { rate_bps: adsl_bps / 4.0, burst_bytes: 8192.0 }.into(),
         }];
         for (i, bps) in phone_bps.into_iter().enumerate() {
             let device = Arc::new(DeviceProxy::new(
@@ -537,6 +519,48 @@ mod tests {
         names.sort();
         assert_eq!(names, vec!["IMG_0000.jpg", "IMG_0001.jpg", "IMG_0002.jpg", "IMG_0003.jpg"]);
         assert!(ups.iter().all(|u| u.total_bytes == 20_000));
+    }
+
+    #[tokio::test]
+    async fn empty_transactions_return_a_zeroed_report() {
+        // An origin whose media playlist is valid but lists no segments.
+        let listener = tokio::net::TcpListener::bind("127.0.0.1:0").await.unwrap();
+        let origin_addr = listener.local_addr().unwrap();
+        tokio::spawn(async move {
+            let (stream, _) = listener.accept().await.unwrap();
+            let mut http = HttpStream::new(stream);
+            while let Some(_req) = http.read_request().await.unwrap() {
+                let body =
+                    Bytes::from_static(b"#EXTM3U\n#EXT-X-TARGETDURATION:2\n#EXT-X-ENDLIST\n");
+                let resp = threegol_http::Response::ok("application/vnd.apple.mpegurl", body);
+                http.write_response(&resp).await.unwrap();
+            }
+        });
+        // The device path points nowhere: an empty transaction must not
+        // connect to it.
+        let client = ThreegolClient::new(vec![
+            PathTarget::SharedGateway {
+                origin: origin_addr,
+                down: SharedRateLimit::unlimited(),
+                up: SharedRateLimit::unlimited(),
+            },
+            PathTarget::Device { addr: "127.0.0.1:9".parse().unwrap() },
+        ]);
+        let zeroed = |report: &TransferReport| {
+            assert_eq!(report.total_secs, 0.0);
+            assert!(report.item_secs.is_empty());
+            assert_eq!(report.bytes_per_path, vec![0.0, 0.0]);
+            assert_eq!((report.wasted_bytes, report.starts, report.aborts), (0.0, 0, 0));
+        };
+
+        let (playlist, bodies, report) = client.fetch_hls("/q1/index.m3u8").await.unwrap();
+        assert!(playlist.entries.is_empty() && playlist.ended);
+        assert!(bodies.is_empty());
+        zeroed(&report);
+        let (bodies, report) = client.fetch(Vec::new(), None).await.unwrap();
+        assert!(bodies.is_empty());
+        zeroed(&report);
+        zeroed(&client.upload_photos(Vec::new()).await.unwrap());
     }
 
     #[tokio::test]

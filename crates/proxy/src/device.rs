@@ -118,13 +118,8 @@ impl DeviceProxy {
     /// the phone proxy's memory budget. Chunked/close-delimited bodies
     /// (which the prototype's peers never send) fall back to buffering
     /// and are re-framed with a Content-Length.
-    pub async fn serve_lan_connection(
-        &self,
-        lan: TcpStream,
-    ) -> Result<(), threegol_http::HttpError> {
-        lan.set_nodelay(true).ok();
+    async fn serve_lan_connection(&self, lan: TcpStream) -> Result<(), threegol_http::HttpError> {
         let upstream_tcp = TcpStream::connect(self.upstream).await?;
-        upstream_tcp.set_nodelay(true).ok();
         let (g3_down, g3_up) = *self.rates.lock().unwrap();
         let mut upstream = HttpStream::new(ThrottledStream::new(upstream_tcp, g3_down, g3_up));
         let mut lan = HttpStream::new(lan);

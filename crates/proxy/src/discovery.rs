@@ -54,7 +54,7 @@ impl Advertisement {
 }
 
 /// Advertisement freshness window.
-pub const TTL: Duration = Duration::from_secs(3);
+const TTL: Duration = Duration::from_secs(3);
 
 /// The client-side discovery listener.
 pub struct Discovery {

@@ -110,8 +110,7 @@ impl HlsProxy {
     }
 
     /// Serve one player connection.
-    pub async fn serve_connection(&self, stream: TcpStream) -> Result<(), HttpError> {
-        stream.set_nodelay(true).ok();
+    async fn serve_connection(&self, stream: TcpStream) -> Result<(), HttpError> {
         let mut http = HttpStream::new(stream);
         while let Some(req) = http.read_request().await? {
             let resp = self.handle(&req).await?;
@@ -121,7 +120,7 @@ impl HlsProxy {
     }
 
     /// Handle one player request.
-    pub async fn handle(&self, req: &Request) -> Result<Response, HttpError> {
+    async fn handle(&self, req: &Request) -> Result<Response, HttpError> {
         if req.method != "GET" {
             return Ok(Response::status(405, "Method Not Allowed"));
         }
@@ -142,9 +141,7 @@ impl HlsProxy {
         let body = bodies.into_iter().next().expect("one body");
         if let Ok(text) = std::str::from_utf8(&body) {
             if let Ok(playlist) = MediaPlaylist::parse(text) {
-                if !playlist.entries.is_empty() {
-                    self.start_prefetch(target, &playlist);
-                }
+                self.start_prefetch(target, &playlist);
             }
         }
         Ok(Response::ok("application/vnd.apple.mpegurl", body))
@@ -156,16 +153,11 @@ impl HlsProxy {
     /// share it as an `Arc<str>` (the old code cloned every URI 2-3
     /// times per round).
     fn start_prefetch(&self, playlist_target: &str, playlist: &MediaPlaylist) {
-        let base = playlist_target.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
         let fresh: Vec<Arc<str>> = {
             let mut cache = self.cache.lock().unwrap();
             let mut fresh = Vec::new();
-            for (_, uri) in &playlist.entries {
-                let t: Arc<str> = if uri.starts_with('/') {
-                    Arc::from(uri.as_str())
-                } else {
-                    Arc::from(format!("{base}/{uri}"))
-                };
+            for t in playlist.segment_targets(playlist_target) {
+                let t: Arc<str> = Arc::from(t);
                 if !cache.ready.contains_key(&*t)
                     && !cache.pending.contains(&*t)
                     && !cache.served.contains(&*t)
@@ -268,12 +260,6 @@ impl HlsProxy {
         }
     }
 
-    /// Bytes this proxy's transfers moved per path index (0 = the
-    /// gateway, 1.. = device paths), aborted partials included.
-    pub fn path_bytes(&self) -> Vec<f64> {
-        self.stats.lock().unwrap().bytes.clone()
-    }
-
     /// Bytes this proxy's transfers moved over device (3G) paths —
     /// the downlink burden the phones' cells carried.
     pub fn device_bytes(&self) -> f64 {
@@ -303,10 +289,10 @@ mod tests {
         let ladder = vec![VideoQuality::new("Q1", 64e3)];
         let origin = Arc::new(OriginServer::new(&ladder, 10.0, 2.0));
         let (origin_addr, _t) = origin.clone().spawn("127.0.0.1:0").await.unwrap();
-        let client = ThreegolClient::new(vec![PathTarget::Gateway {
+        let client = ThreegolClient::new(vec![PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit::new(8e6),
-            up: RateLimit::new(2e6),
+            down: RateLimit::new(8e6).into(),
+            up: RateLimit::new(2e6).into(),
         }]);
         let proxy = Arc::new(HlsProxy::new(client));
         let (addr, _t2) = proxy.clone().spawn("127.0.0.1:0").await.unwrap();

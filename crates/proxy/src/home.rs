@@ -728,10 +728,8 @@ async fn prebuffer_vod(proxy_addr: SocketAddr, playlist: &str) -> Result<f64, Ht
         .map_err(|_| HttpError::Malformed("non-UTF-8 playlist".into()))?;
     let media = MediaPlaylist::parse(text)
         .map_err(|e| HttpError::Malformed(format!("bad playlist: {e}")))?;
-    let base = playlist.rsplit_once('/').map(|(dir, _)| dir).unwrap_or("");
     let mut bytes = 0.0;
-    for (_, uri) in &media.entries {
-        let target = if uri.starts_with('/') { uri.clone() } else { format!("{base}/{uri}") };
+    for target in media.segment_targets(playlist) {
         http.write_request(&Request::get(target)).await?;
         let seg = http.read_response().await?;
         if seg.status != 200 {

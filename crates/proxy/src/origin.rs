@@ -136,11 +136,7 @@ impl OriginServer {
     }
 
     /// Serve one connection until the peer closes it.
-    pub async fn serve_connection(
-        &self,
-        stream: TcpStream,
-    ) -> Result<(), threegol_http::HttpError> {
-        stream.set_nodelay(true).ok();
+    async fn serve_connection(&self, stream: TcpStream) -> Result<(), threegol_http::HttpError> {
         let mut http = HttpStream::new(stream);
         while let Some(req) = http.read_request().await? {
             let resp = self.handle(&req);
@@ -150,7 +146,7 @@ impl OriginServer {
     }
 
     /// Route one request.
-    pub fn handle(&self, req: &Request) -> Response {
+    fn handle(&self, req: &Request) -> Response {
         self.requests_served.fetch_add(1, Ordering::Relaxed);
         match (req.method.as_str(), req.target.as_str()) {
             ("GET", target) => match self.assets.get(target) {

@@ -17,7 +17,7 @@ use std::io::IoSlice;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll};
+use std::task::{ready, Context, Poll};
 use std::time::Duration;
 
 use tokio::io::{AsyncRead, AsyncWrite, ReadBuf};
@@ -231,6 +231,25 @@ impl ThrottleWait {
             Poll::Pending => Poll::Pending,
         }
     }
+
+    /// Wait until `bucket` holds at least `need` tokens and return how
+    /// many it holds. While it holds fewer, arm a wait for
+    /// `need.max(1)` tokens and retry when it fires.
+    fn poll_tokens(
+        &mut self,
+        cx: &mut Context<'_>,
+        bucket: &SharedRateLimit,
+        need: usize,
+    ) -> Poll<usize> {
+        loop {
+            ready!(self.poll_wait(cx));
+            let available = bucket.available();
+            if available >= need {
+                return Poll::Ready(available);
+            }
+            self.arm(bucket, need.max(1));
+        }
+    }
 }
 
 /// A rate-limited wrapper around an async transport. The read and
@@ -284,33 +303,20 @@ impl<T: AsyncRead + Unpin> AsyncRead for ThrottledStream<T> {
         buf: &mut ReadBuf<'_>,
     ) -> Poll<std::io::Result<()>> {
         let this = self.get_mut();
-        loop {
-            // Wait out any pending throttle sleep.
-            if this.read_wait.poll_wait(cx).is_pending() {
-                return Poll::Pending;
+        let need = this.read_quantum.min(buf.remaining());
+        let available = ready!(this.read_wait.poll_tokens(cx, &this.read_bucket, need));
+        let allowed = available.min(buf.remaining());
+        let mut limited = buf.take(allowed);
+        match Pin::new(&mut this.inner).poll_read(cx, &mut limited) {
+            Poll::Ready(Ok(())) => {
+                let n = limited.filled().len();
+                // `take` borrows the same backing buffer, so only the
+                // original's cursor needs advancing.
+                buf.set_filled(buf.filled().len() + n);
+                this.read_bucket.consume(n);
+                Poll::Ready(Ok(()))
             }
-            let available = this.read_bucket.available();
-            if available < this.read_quantum.min(buf.remaining()) {
-                let want = this.read_quantum.min(buf.remaining()).max(1);
-                this.read_wait.arm(&this.read_bucket, want);
-                continue;
-            }
-            let allowed = available.min(buf.remaining());
-            let mut limited = buf.take(allowed);
-            return match Pin::new(&mut this.inner).poll_read(cx, &mut limited) {
-                Poll::Ready(Ok(())) => {
-                    let n = limited.filled().len();
-                    let filled_total = buf.filled().len() + n;
-                    // Safety-free accounting: `take` borrows the same
-                    // backing buffer, so we only need to advance the
-                    // original's cursor.
-                    unsafe { buf.assume_init(n) };
-                    buf.set_filled(filled_total);
-                    this.read_bucket.consume(n);
-                    Poll::Ready(Ok(()))
-                }
-                other => other,
-            };
+            other => other,
         }
     }
 }
@@ -322,24 +328,15 @@ impl<T: AsyncWrite + Unpin> AsyncWrite for ThrottledStream<T> {
         data: &[u8],
     ) -> Poll<std::io::Result<usize>> {
         let this = self.get_mut();
-        loop {
-            if this.write_wait.poll_wait(cx).is_pending() {
-                return Poll::Pending;
+        let need = this.write_quantum.min(data.len()).max(1);
+        let available = ready!(this.write_wait.poll_tokens(cx, &this.write_bucket, need));
+        let allowed = available.min(data.len());
+        match Pin::new(&mut this.inner).poll_write(cx, &data[..allowed]) {
+            Poll::Ready(Ok(n)) => {
+                this.write_bucket.consume(n);
+                Poll::Ready(Ok(n))
             }
-            let available = this.write_bucket.available();
-            if available < this.write_quantum.min(data.len()).max(1) {
-                let want = this.write_quantum.min(data.len()).max(1);
-                this.write_wait.arm(&this.write_bucket, want);
-                continue;
-            }
-            let allowed = available.min(data.len());
-            return match Pin::new(&mut this.inner).poll_write(cx, &data[..allowed]) {
-                Poll::Ready(Ok(n)) => {
-                    this.write_bucket.consume(n);
-                    Poll::Ready(Ok(n))
-                }
-                other => other,
-            };
+            other => other,
         }
     }
 
@@ -353,48 +350,39 @@ impl<T: AsyncWrite + Unpin> AsyncWrite for ThrottledStream<T> {
         if total == 0 {
             return Pin::new(&mut this.inner).poll_write_vectored(cx, bufs);
         }
-        loop {
-            if this.write_wait.poll_wait(cx).is_pending() {
-                return Poll::Pending;
-            }
-            let available = this.write_bucket.available();
-            if available < this.write_quantum.min(total).max(1) {
-                let want = this.write_quantum.min(total).max(1);
-                this.write_wait.arm(&this.write_bucket, want);
-                continue;
-            }
-            let allowed = available.min(total);
-            // Tokens cover the whole gather-write: pass the caller's
-            // slices straight through, allocation-free.
-            if allowed >= total {
-                return match Pin::new(&mut this.inner).poll_write_vectored(cx, bufs) {
-                    Poll::Ready(Ok(n)) => {
-                        this.write_bucket.consume(n);
-                        Poll::Ready(Ok(n))
-                    }
-                    other => other,
-                };
-            }
-            // The token cap applies to the gather-write as a whole:
-            // truncate the slice list at `allowed` bytes so a head+body
-            // pair still drains the bucket at the configured rate.
-            let mut capped: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
-            let mut budget = allowed;
-            for b in bufs {
-                if budget == 0 {
-                    break;
-                }
-                let take = b.len().min(budget);
-                capped.push(IoSlice::new(&b[..take]));
-                budget -= take;
-            }
-            return match Pin::new(&mut this.inner).poll_write_vectored(cx, &capped) {
+        let need = this.write_quantum.min(total).max(1);
+        let available = ready!(this.write_wait.poll_tokens(cx, &this.write_bucket, need));
+        let allowed = available.min(total);
+        // Tokens cover the whole gather-write: pass the caller's
+        // slices straight through, allocation-free.
+        if allowed >= total {
+            return match Pin::new(&mut this.inner).poll_write_vectored(cx, bufs) {
                 Poll::Ready(Ok(n)) => {
                     this.write_bucket.consume(n);
                     Poll::Ready(Ok(n))
                 }
                 other => other,
             };
+        }
+        // The token cap applies to the gather-write as a whole:
+        // truncate the slice list at `allowed` bytes so a head+body
+        // pair still drains the bucket at the configured rate.
+        let mut capped: Vec<IoSlice<'_>> = Vec::with_capacity(bufs.len());
+        let mut budget = allowed;
+        for b in bufs {
+            if budget == 0 {
+                break;
+            }
+            let take = b.len().min(budget);
+            capped.push(IoSlice::new(&b[..take]));
+            budget -= take;
+        }
+        match Pin::new(&mut this.inner).poll_write_vectored(cx, &capped) {
+            Poll::Ready(Ok(n)) => {
+                this.write_bucket.consume(n);
+                Poll::Ready(Ok(n))
+            }
+            other => other,
         }
     }
 

@@ -54,10 +54,10 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Path 0: the gateway, throttled to a 2 Mbit/s ADSL profile.
-    let gateway = PathTarget::Gateway {
+    let gateway = PathTarget::SharedGateway {
         origin: origin_addr,
-        down: RateLimit::new(2.0e6),
-        up: RateLimit::new(0.512e6),
+        down: RateLimit::new(2.0e6).into(),
+        up: RateLimit::new(0.512e6).into(),
     };
 
     // ADSL alone.

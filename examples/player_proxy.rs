@@ -32,10 +32,9 @@ async fn play(proxy_addr: std::net::SocketAddr, playlist: &str, prebuffer: usize
     let resp = http.read_response().await.unwrap();
     let text = std::str::from_utf8(&resp.body).unwrap();
     let media = threegol::hls::MediaPlaylist::parse(text).unwrap();
-    let base = playlist.rsplit_once('/').map(|(d, _)| d).unwrap_or("");
     let mut startup = 0.0;
-    for (i, (_, uri)) in media.entries.iter().enumerate() {
-        http.write_request(&Request::get(format!("{base}/{uri}"))).await.unwrap();
+    for (i, target) in media.segment_targets(playlist).enumerate() {
+        http.write_request(&Request::get(target)).await.unwrap();
         let seg = http.read_response().await.unwrap();
         assert_eq!(seg.status, 200);
         if i + 1 == prebuffer {
@@ -54,10 +53,10 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let origin = Arc::new(OriginServer::new(&ladder, 60.0, 10.0));
     let (origin_addr, _t) = origin.clone().spawn(&net.origin().to_string()).await?;
 
-    let adsl = PathTarget::Gateway {
+    let adsl = PathTarget::SharedGateway {
         origin: origin_addr,
-        down: RateLimit::new(2.0e6),
-        up: RateLimit::new(0.512e6),
+        down: RateLimit::new(2.0e6).into(),
+        up: RateLimit::new(0.512e6).into(),
     };
 
     // Proxy with ADSL only (a second proxy host next to the home's

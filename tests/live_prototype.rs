@@ -85,10 +85,10 @@ async fn hls_fetch_through_discovered_devices() {
     ));
     let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
     let client = ThreegolClient::new(vec![
-        PathTarget::Gateway {
+        PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit::new(4e6),
-            up: RateLimit::new(1e6),
+            down: RateLimit::new(4e6).into(),
+            up: RateLimit::new(1e6).into(),
         },
         PathTarget::Device { addr: lan_addr },
     ]);
@@ -114,10 +114,10 @@ async fn uploads_survive_a_slow_device() {
     ));
     let (lan_addr, _task) = device.clone().spawn("127.0.0.1:0").await.unwrap();
     let client = ThreegolClient::new(vec![
-        PathTarget::Gateway {
+        PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit::new(8e6),
-            up: RateLimit::new(8e6),
+            down: RateLimit::new(8e6).into(),
+            up: RateLimit::new(8e6).into(),
         },
         PathTarget::Device { addr: lan_addr },
     ]);
@@ -151,10 +151,10 @@ fn scenario_transcript() -> String {
         }
         tokio::time::sleep(Duration::from_millis(200)).await;
 
-        let mut paths = vec![PathTarget::Gateway {
+        let mut paths = vec![PathTarget::SharedGateway {
             origin: origin_addr,
-            down: RateLimit::new(4e6),
-            up: RateLimit::new(0.5e6),
+            down: RateLimit::new(4e6).into(),
+            up: RateLimit::new(0.5e6).into(),
         }];
         for ad in discovery.admissible() {
             writeln!(log, "discovered {} at {} ({})", ad.name, ad.proxy_addr, ad.available_bytes)
